@@ -22,7 +22,6 @@ from .core import (
     drop_noninformative,
     fit,
     make_dataset,
-    mc_expectation_term,
     modified_profile_loglik,
     profile_loglik,
     substream,
@@ -57,7 +56,6 @@ __all__ = [
     "make_dataset",
     "maximize_multivariate",
     "maximize_scalar_bounded",
-    "mc_expectation_term",
     "modified_profile_loglik",
     "numerical_gradient",
     "numerical_hessian",

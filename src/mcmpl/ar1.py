@@ -26,17 +26,6 @@ class DegenerateDesignError(ValueError):
     """The lagged response has no within-cluster variation."""
 
 
-@dataclass
-class AR1Params:
-    rho: float
-    sigma2: float
-    lam: np.ndarray | float = 0.0
-
-    def __post_init__(self):
-        if not self.sigma2 > 0.0:
-            raise ValueError("sigma2 must be positive")
-
-
 def make_panel_dataset(y, y0, cluster_labels=None) -> ClusteredDataset:
     """Panel series with one initial condition per cluster."""
     y = np.asarray(y, dtype=float)
@@ -54,19 +43,6 @@ def _lagged(data: ClusteredDataset) -> np.ndarray:
         raise ValueError("AR(1) data needs initial conditions")
     return np.concatenate([data.initial_conditions[:, None],
                            data.responses[:, :-1]], axis=1)
-
-
-def loglik(params: AR1Params, data: ClusteredDataset) -> float:
-    return float(cluster_logliks(params.rho, params.sigma2, params.lam, data).sum())
-
-
-def cluster_logliks(rho, sigma2, lam, data) -> np.ndarray:
-    if not sigma2 > 0.0:
-        raise ValueError("sigma2 must be positive")
-    lam = np.broadcast_to(np.atleast_1d(np.asarray(lam, float)), (data.n_clusters,))
-    t_len = data.responses.shape[1]
-    resid = data.responses - lam[:, None] - rho * _lagged(data)
-    return -(0.5 * t_len * np.log(sigma2) + (resid ** 2).sum(axis=1) / (2.0 * sigma2))
 
 
 def constrained_lambda(rho, data: ClusteredDataset) -> np.ndarray:
@@ -146,7 +122,13 @@ class AR1PanelModel(ClusteredModel):
         return np.ones(data.n_clusters, dtype=bool)
 
     def cluster_logliks(self, psi, lam, data):
-        return cluster_logliks(psi[0], psi[1], lam, data)
+        rho, sigma2 = psi[0], psi[1]
+        if not sigma2 > 0.0:
+            raise ValueError("sigma2 must be positive")
+        lam = np.broadcast_to(np.atleast_1d(np.asarray(lam, float)), (data.n_clusters,))
+        t_len = data.responses.shape[1]
+        resid = data.responses - lam[:, None] - rho * _lagged(data)
+        return -(0.5 * t_len * np.log(sigma2) + (resid ** 2).sum(axis=1) / (2.0 * sigma2))
 
     def nuisance_score(self, psi, lam, data):
         lam = np.broadcast_to(np.atleast_1d(np.asarray(lam, float)),
@@ -161,24 +143,9 @@ class AR1PanelModel(ClusteredModel):
     def constrained_nuisance(self, psi, data):
         return constrained_lambda(psi[0], data)
 
-    def simulate_replicate(self, psi, lam, data, rng):
-        """One synthetic panel from the fit, initial conditions unchanged."""
-        rho, sigma = psi[0], np.sqrt(psi[1])
-        lam = np.broadcast_to(np.atleast_1d(np.asarray(lam, float)),
-                              (data.n_clusters,))
-        eps = rng.standard_normal(data.responses.shape)
-        y = np.empty_like(data.responses)
-        prev = data.initial_conditions
-        for t in range(y.shape[1]):
-            prev = lam + rho * prev + sigma * eps[:, t]
-            y[:, t] = prev
-        return ClusteredDataset(responses=y, covariates=data.covariates,
-                                indicators=data.indicators,
-                                unit_mask=data.unit_mask,
-                                initial_conditions=data.initial_conditions,
-                                cluster_labels=data.cluster_labels)
-
     def build_replicates(self, psi, lam, data, rng, n_replicates):
+        """Synthetic panels from the fit, initial conditions unchanged; the
+        bank keeps only the per-replicate response and lag sums."""
         rho, sigma2 = float(psi[0]), float(psi[1])
         sigma = np.sqrt(max(sigma2, SIGMA2_FLOOR))
         lam = np.broadcast_to(np.atleast_1d(np.asarray(lam, float)),
@@ -208,14 +175,6 @@ class AR1PanelModel(ClusteredModel):
                - bank.t_len * lam_psi * s.mean(axis=0)
                - rho * (bank.lag_sums * s).mean(axis=0))
         return raw / max(sigma2, SIGMA2_FLOOR)
-
-
-def mc_expectation(fit_at_mle, psi, bank, data: ClusteredDataset) -> np.ndarray:
-    """Per-cluster Monte Carlo expectation at ``psi`` from a prebuilt bank."""
-    model = AR1PanelModel()
-    psi = np.atleast_1d(np.asarray(psi, dtype=float))
-    return model.replicate_expectation(bank, psi,
-                                       model.constrained_nuisance(psi, data), data)
 
 
 def fit_bounded(data: ClusteredDataset, mc: MonteCarloConfig | None = None,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, log_expit, log_ndtr, ndtr
 
-from . import core, optim
+from . import optim
 from .core import ClusteredDataset, ClusteredModel, make_dataset
 
 #: linear predictors are clamped here before any link evaluation; beyond
@@ -121,57 +121,6 @@ def get_link(link) -> Link:
         raise ValueError(f"unknown link {link!r}; expected logit or probit") from None
 
 
-@dataclass
-class BinaryMissingParams:
-    """Parameter record for one evaluation of the selection model."""
-
-    beta: np.ndarray
-    gamma1: np.ndarray | None = None
-    gamma2: float = 0.0
-    lam: np.ndarray | float = 0.0
-    mechanism: str = "mcar"
-    link: str = "logit"
-
-    def __post_init__(self):
-        self.beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
-        if self.gamma1 is not None:
-            self.gamma1 = np.atleast_1d(np.asarray(self.gamma1, dtype=float))
-        if self.mechanism not in ("mcar", "mnar"):
-            raise ValueError("mechanism must be mcar or mnar")
-        if self.mechanism == "mcar" and self.gamma2 != 0.0:
-            raise ValueError("MCAR requires gamma2 = 0")
-
-
-@dataclass
-class CellProbabilities:
-    """Response and missingness probabilities for a block of units."""
-
-    pi: np.ndarray
-    zeta0: np.ndarray
-    zeta1: np.ndarray
-
-    def __post_init__(self):
-        for name in ("pi", "zeta0", "zeta1"):
-            v = np.asarray(getattr(self, name), dtype=float)
-            setattr(self, name, v)
-            if np.any((v <= 0.0) | (v >= 1.0)):
-                raise ValueError(f"{name} must lie strictly inside (0, 1)")
-
-    def mixture(self) -> np.ndarray:
-        """P(unit missing) marginalized over the unobserved response."""
-        return (1.0 - self.pi) * self.zeta0 + self.pi * self.zeta1
-
-
-def cell_probabilities(params: BinaryMissingParams, data: ClusteredDataset) -> CellProbabilities:
-    link = get_link(params.link)
-    lam = np.broadcast_to(np.atleast_1d(np.asarray(params.lam, float)), (data.n_clusters,))
-    eta = _clamp(lam[:, None] + data.covariates @ params.beta)
-    g1 = params.gamma1 if params.gamma1 is not None else np.zeros(data.n_covariates)
-    u0 = _clamp(data.covariates @ g1)
-    return CellProbabilities(pi=link.cdf(eta), zeta0=G.cdf(u0),
-                             zeta1=G.cdf(_clamp(u0 + params.gamma2)))
-
-
 def _clamp(eta):
     return np.clip(eta, -PREDICTOR_CLAMP, PREDICTOR_CLAMP)
 
@@ -184,8 +133,6 @@ def _masks(data: ClusteredDataset):
 
 def _eta(link, beta, lam, data):
     lam = np.asarray(lam, dtype=float)
-    if lam.ndim == 0:
-        lam = np.full(data.n_clusters, float(lam))
     return _clamp(lam[:, None] + data.covariates @ beta)
 
 
@@ -301,80 +248,6 @@ def _solve_constrained(link, mechanism, beta, gamma1, gamma2, data,
         live = live & ((hi - lo) > 1e-14 * (1.0 + np.abs(x)))
     lam[active] = x[active]
     return lam
-
-
-# ---------------------------------------------------------------------------
-# operations in the parameter-record form
-# ---------------------------------------------------------------------------
-
-def cluster_obs_loglik(params: BinaryMissingParams, cluster: ClusteredDataset) -> float:
-    """Observed-data log-likelihood of one cluster under the selection model."""
-    if params.gamma1 is None:
-        raise ValueError("the selection likelihood needs gamma1")
-    terms = _loglik_terms(get_link(params.link), "mnar", params.beta,
-                          params.gamma1, params.gamma2, params.lam, cluster)
-    return float(terms.sum())
-
-
-def mcar_cluster_loglik(params: BinaryMissingParams, cluster: ClusteredDataset) -> float:
-    """Binary-regression log-likelihood computed on the recorded units only."""
-    terms = _loglik_terms(get_link(params.link), "mcar", params.beta,
-                          None, 0.0, params.lam, cluster)
-    return float(terms.sum())
-
-
-def nuisance_score(params: BinaryMissingParams, cluster: ClusteredDataset) -> float:
-    s, _ = _score_info_terms(get_link(params.link), params.mechanism, params.beta,
-                             params.gamma1, params.gamma2, params.lam, cluster,
-                             want_info=False)
-    return float(s.sum())
-
-
-def nuisance_obs_info(params: BinaryMissingParams, cluster: ClusteredDataset) -> float:
-    _, j = _score_info_terms(get_link(params.link), params.mechanism, params.beta,
-                             params.gamma1, params.gamma2, params.lam, cluster)
-    return float(j.sum())
-
-
-def constrained_nuisance(params: BinaryMissingParams, cluster: ClusteredDataset) -> float:
-    """Root of the nuisance score in the cluster intercept.
-
-    Returns +/-inf under separation (all observed responses equal) and NaN
-    for a fully missing cluster; both mark a cluster that should have been
-    dropped.
-    """
-    lam = _solve_constrained(get_link(params.link), params.mechanism, params.beta,
-                             params.gamma1, params.gamma2, cluster)
-    return float(lam[0])
-
-
-def exact_expectation_mcar(fit_at_mle: BinaryMissingParams, beta,
-                           cluster: ClusteredDataset, lam_beta=None) -> float:
-    """Closed-form MCAR expectation of the two-point score product.
-
-    Conditions on the recorded units of the cluster at hand. With the
-    logit link it reduces to the fit-only sum of variances
-    pi_hat (1 - pi_hat) and is constant in ``beta``. ``lam_beta`` overrides
-    the constrained intercept (otherwise solved from the score).
-    """
-    link = get_link(fit_at_mle.link)
-    beta = np.atleast_1d(np.asarray(beta, dtype=float))
-    if lam_beta is None:
-        lam_beta = _solve_constrained(link, "mcar", beta, None, 0.0, cluster)
-    obs, _ = _masks(cluster)
-    eta_b = _eta(link, beta, lam_beta, cluster)
-    eta_hat = _eta(link, fit_at_mle.beta, fit_at_mle.lam, cluster)
-    log_b = link.log_pdf(eta_b) - link.log_cdf(eta_b) - link.log_cdf(-eta_b)
-    terms = np.where(obs, np.exp(log_b + link.log_pdf(eta_hat)), 0.0)
-    return float(terms.sum())
-
-
-def drop_noninformative(data: ClusteredDataset):
-    """Remove clusters with constant or fully missing observed responses."""
-    n_obs, s_obs = _observed_counts(data)
-    keep = (n_obs > 0) & (s_obs > 0) & (s_obs < n_obs)
-    dropped = int((~keep).sum())
-    return (data if dropped == 0 else data.subset(keep)), dropped
 
 
 def fit_missingness_regression(data: ClusteredDataset, tol=None):
@@ -530,7 +403,16 @@ class BinaryMissingModel(ClusteredModel):
         beta, gamma1, gamma2 = self._split(psi, data.n_covariates)
         return _solve_constrained(self.link, self.mechanism, beta, gamma1, gamma2, data)
 
+    def has_exact_expectation(self):
+        return self.mechanism == "mcar"
+
     def exact_expectation(self, psi_mle, lam_mle, psi, lam_psi, data):
+        """Closed-form MCAR expectation of the two-point score product.
+
+        Conditions on the recorded units of each cluster. With the logit
+        link it reduces to the fit-only sum of variances pi_hat (1 - pi_hat)
+        and is constant in ``psi``.
+        """
         if self.mechanism != "mcar":
             raise NotImplementedError("closed form exists under MCAR only")
         beta_mle, _, _ = self._split(psi_mle, data.n_covariates)
@@ -555,29 +437,8 @@ class BinaryMissingModel(ClusteredModel):
         gamma1, _ = fit_missingness_regression(data)
         return gamma1, 0.0
 
-    def simulate_replicate(self, psi, lam, data, rng, deletion_gamma=None):
-        """Two-stage replicate: complete responses, then random deletion."""
-        beta, _, _ = self._split(psi, data.n_covariates)
-        eta = _eta(self.link, beta, lam, data)
-        y = (rng.random(eta.shape) < self.link.cdf(eta)).astype(float)
-        if deletion_gamma is None:
-            gamma1, gamma2 = self._deletion_gamma(psi, data)
-        else:
-            gamma1, gamma2 = deletion_gamma
-        if gamma1 is None:
-            miss = np.zeros(eta.shape)
-        else:
-            zeta = G.cdf(_clamp(data.covariates @ gamma1 + gamma2 * y))
-            miss = (rng.random(eta.shape) < zeta).astype(float)
-        miss = np.where(data.unit_mask, miss, 0.0)
-        responses = np.where(miss == 1.0, np.nan, y)
-        responses = np.where(data.unit_mask, responses, np.nan)
-        return ClusteredDataset(responses=responses, covariates=data.covariates,
-                                indicators=miss, unit_mask=data.unit_mask,
-                                initial_conditions=data.initial_conditions,
-                                cluster_labels=data.cluster_labels)
-
     def build_replicates(self, psi, lam, data, rng, n_replicates):
+        """Two-stage replicates: complete responses, then random deletion."""
         beta, _, _ = self._split(psi, data.n_covariates)
         gamma1, gamma2 = self._deletion_gamma(psi, data)
         eta = _eta(self.link, beta, lam, data)

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from . import ar1, binary, core, harness, io, optim, weibull
+from . import ar1, core, harness, io, optim, weibull
 from .core import MonteCarloConfig
 
 
@@ -70,23 +70,22 @@ def main(argv=None) -> int:
 
 
 def cmd_fit(args) -> int:
+    if not 0.0 < args.level < 1.0:
+        return _fail(f"--level {args.level} must lie inside (0, 1)")
+    model = harness.make_model(args.model, args.link, args.mechanism)
+    if args.method == "mpl-exact" and not model.has_exact_expectation():
+        return _fail("mpl-exact has a closed form for the MCAR binary model only; "
+                     "use mcmpl")
     try:
         data = io.read_dataset(args.data, args.model)
     except (io.DataFileError, OSError) as exc:
         return _fail(str(exc))
-    mc = MonteCarloConfig(replicates=args.replicates, master_seed=args.seed)
     extra_rows = []
     try:
+        mc = MonteCarloConfig(replicates=args.replicates, master_seed=args.seed)
         if args.model == "ar1":
-            if args.method == "mpl-exact":
-                return _fail("the AR(1) model has no exact expectation formula")
             fit = ar1.fit_bounded(data, mc, method=args.method)
         else:
-            if args.model == "binary":
-                model = binary.BinaryMissingModel(link=args.link,
-                                                  mechanism=args.mechanism)
-            else:
-                model = weibull.WeibullSurvivalModel()
             fit = core.fit(model, data, args.method, mc)
             if args.model == "weibull":
                 for j in range(data.n_covariates):
@@ -157,15 +156,14 @@ def cmd_trace(args) -> int:
             replicates, seed = args.replicates, args.seed
     except (io.DataFileError, io.ConfigError, OSError) as exc:
         return _fail(str(exc))
-    mc = MonteCarloConfig(replicates=replicates, master_seed=seed)
     try:
+        mc = MonteCarloConfig(replicates=replicates, master_seed=seed)
         if model_kind == "ar1":
             if args.param != "rho":
                 return _fail("AR(1) traces support --param rho")
             grid_lp, grid_lm = _ar1_trace(data, mc, grid)
         else:
-            model = (binary.BinaryMissingModel(link=link, mechanism=mechanism)
-                     if model_kind == "binary" else weibull.WeibullSurvivalModel())
+            model = harness.make_model(model_kind, link, mechanism)
             grid_lp, grid_lm = _generic_trace(model, data, mc, args.param, grid)
     except (core.NoInformativeClustersError, optim.NoFinitePointError,
             ValueError) as exc:

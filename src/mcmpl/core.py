@@ -3,8 +3,9 @@ fitting, standard errors and Wald intervals.
 
 A model plugs in through :class:`ClusteredModel`, which supplies per-cluster
 log-likelihoods, nuisance scores and observed information, constrained
-nuisance estimates, and a replicate simulator. Everything here operates on
-whole datasets at once; per-cluster values come back as length-``N`` arrays.
+nuisance estimates, and a replicate bank drawn at the maximum likelihood
+fit. Everything here operates on whole datasets at once; per-cluster values
+come back as length-``N`` arrays.
 """
 
 from __future__ import annotations
@@ -137,17 +138,14 @@ def make_dataset(responses, covariates=None, indicators=None, unit_mask=None,
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
-    """Replicate count, master seed and the substream derivation rule."""
+    """Replicate count and the master seed of the Philox substreams."""
 
     replicates: int = 500
     master_seed: int = DEFAULT_SEED
-    substream_policy: str = "philox-spawn"
 
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
-        if self.substream_policy != "philox-spawn":
-            raise ValueError(f"unknown substream policy {self.substream_policy!r}")
 
     def generator(self, *key: int) -> np.random.Generator:
         return substream(self.master_seed, *key)
@@ -214,43 +212,29 @@ class ClusteredModel(ABC):
     @abstractmethod
     def constrained_nuisance(self, psi, data) -> np.ndarray: ...
 
-    @abstractmethod
-    def simulate_replicate(self, psi, lam, data, rng) -> ClusteredDataset: ...
-
     def params_feasible(self, psi) -> bool:
         """Hard feasibility wall; infeasible psi makes every objective -inf."""
         return bool(np.all(np.isfinite(psi)))
 
+    @abstractmethod
     def build_replicates(self, psi, lam, data, rng, n_replicates: int):
-        """Simulate the replicate bank used by the Monte Carlo expectation.
+        """Simulate the replicate bank at the maximum likelihood fit.
 
-        The default stores the replicate datasets plus their nuisance
-        scores at the maximum likelihood fit; models override this with
-        packed-array banks when profitable.
+        The bank carries ``scores_at_mle``, the (R, N) nuisance scores of
+        every replicate at ``(psi, lam)``.
         """
-        reps = [self.simulate_replicate(psi, lam, data, rng)
-                for _ in range(n_replicates)]
-        scores = np.stack([self.nuisance_score(psi, lam, rep) for rep in reps])
-        return _GenericReplicateBank(replicates=reps, scores_at_mle=scores)
 
+    @abstractmethod
     def replicate_expectation(self, bank, psi, lam_psi, data) -> np.ndarray:
-        """Per-cluster mean over replicates of the two-point score product."""
-        scores_psi = np.stack([self.nuisance_score(psi, lam_psi, rep)
-                               for rep in bank.replicates])
-        return (scores_psi * bank.scores_at_mle).mean(axis=0)
+        """Per-cluster mean over the bank of the two-point score product."""
 
     def exact_expectation(self, psi_mle, lam_mle, psi, lam_psi, data) -> np.ndarray:
         raise NotImplementedError(
             f"{type(self).__name__} supplies no exact expectation formula")
 
     def has_exact_expectation(self) -> bool:
-        return type(self).exact_expectation is not ClusteredModel.exact_expectation
-
-
-@dataclass
-class _GenericReplicateBank:
-    replicates: list
-    scores_at_mle: np.ndarray
+        """Whether :meth:`exact_expectation` has a closed form for this instance."""
+        return False
 
 
 def drop_noninformative(model: ClusteredModel, data: ClusteredDataset):
@@ -277,33 +261,12 @@ def profile_loglik(model: ClusteredModel, data: ClusteredDataset, psi) -> float:
     return float(model.cluster_logliks(psi, lam, data).sum())
 
 
-def mc_expectation_term(model, data, fit_at_mle, psi, mc: MonteCarloConfig,
-                        bank=None) -> np.ndarray:
-    """Monte Carlo estimate of the per-cluster score-product expectation.
-
-    ``fit_at_mle`` is the pair ``(psi_hat, lambda_hat)`` from the full ML
-    fit. Replicates depend only on the fit and ``mc.master_seed``; passing
-    the same configuration therefore reproduces them bit-for-bit, and a
-    prebuilt ``bank`` can be supplied to share them across many psi
-    evaluations (common random numbers).
-    """
-    psi_mle, lam_mle = fit_at_mle
-    if bank is None:
-        bank = model.build_replicates(psi_mle, lam_mle, data,
-                                      mc.generator(0), mc.replicates)
-    psi = np.atleast_1d(np.asarray(psi, dtype=float))
-    lam_psi = model.constrained_nuisance(psi, data)
-    return model.replicate_expectation(bank, psi, lam_psi, data)
-
-
-def modified_profile_loglik(model, data, fit_at_mle, psi,
-                            expectation_source="exact", mc=None, bank=None) -> float:
+def modified_profile_loglik(model, data, fit_at_mle, psi, bank=None) -> float:
     """Profile log-likelihood plus the score-expectation modification.
 
-    ``expectation_source`` is either ``"exact"`` (the model supplies a
-    closed form) or a replicate bank / ``"mc"``; with ``"mc"`` and no bank
-    the replicates are generated from ``mc``. Returns ``-inf`` whenever the
-    observed information or the expectation is non-positive for some
+    The expectation comes from the model's closed form when ``bank`` is
+    None and from the replicate bank otherwise. Returns ``-inf`` whenever
+    the observed information or the expectation is non-positive for some
     cluster, which marks the modification as undefined there.
     """
     if data.n_clusters == 0:
@@ -320,18 +283,11 @@ def modified_profile_loglik(model, data, fit_at_mle, psi,
     info = model.nuisance_obs_info(psi, lam_psi, data)
     if np.any(info <= 0.0) or not np.all(np.isfinite(info)):
         return -np.inf
-    psi_mle, lam_mle = fit_at_mle
-    if isinstance(expectation_source, str) and expectation_source == "exact":
+    if bank is None:
+        psi_mle, lam_mle = fit_at_mle
         expect = model.exact_expectation(psi_mle, lam_mle, psi, lam_psi, data)
     else:
-        if isinstance(expectation_source, str):  # "mc" without a prebuilt bank
-            if bank is None:
-                bank = model.build_replicates(psi_mle, lam_mle, data,
-                                              mc.generator(0), mc.replicates)
-            source = bank
-        else:
-            source = expectation_source
-        expect = model.replicate_expectation(source, psi, lam_psi, data)
+        expect = model.replicate_expectation(bank, psi, lam_psi, data)
     if np.any(expect <= 0.0) or not np.all(np.isfinite(expect)):
         return -np.inf
     return lp + float(0.5 * np.log(info).sum() - np.log(expect).sum())
@@ -372,15 +328,13 @@ def fit(model: ClusteredModel, data: ClusteredDataset, method: str = "mcmpl",
         psi_mle = np.atleast_1d(np.asarray(prof.argmax, dtype=float))
         lam_mle = model.constrained_nuisance(psi_mle, kept)
         fit_at_mle = (psi_mle, lam_mle)
-        if method == "mpl-exact":
-            def objective(psi):
-                return modified_profile_loglik(model, kept, fit_at_mle, psi, "exact")
-        else:
+        bank = None
+        if method == "mcmpl":
             bank = model.build_replicates(psi_mle, lam_mle, kept,
                                           mc.generator(0), mc.replicates)
 
-            def objective(psi):
-                return modified_profile_loglik(model, kept, fit_at_mle, psi, bank)
+        def objective(psi):
+            return modified_profile_loglik(model, kept, fit_at_mle, psi, bank)
         opt = optim.maximize_multivariate(objective, psi_mle, tol)
         if not prof.converged:
             warnings_.append("profile_stage_not_converged")

@@ -77,7 +77,10 @@ class ExperimentSpec:
         if not self.methods:
             raise ValueError("at least one method is required")
         for m in self.methods:
-            _parse_method(self.model, m)
+            model, name = _analysis_model(self, m)
+            if name == "mpl-exact" and not model.has_exact_expectation():
+                raise ValueError(f"method {m!r}: mpl-exact has a closed form for "
+                                 "the MCAR binary model only")
 
 
 def _parse_method(model: str, method: str):
@@ -94,6 +97,19 @@ def _parse_method(model: str, method: str):
     if name not in core.FIT_METHODS:
         raise ValueError(f"unknown method {name!r}")
     return mechanism, name
+
+
+def make_model(kind: str, link: str = "logit", mechanism: str = "mcar"):
+    """The engine model of one family; link and mechanism apply to binary."""
+    if kind == "binary":
+        return binary.BinaryMissingModel(link=link, mechanism=mechanism)
+    return weibull.WeibullSurvivalModel() if kind == "weibull" else ar1.AR1PanelModel()
+
+
+def _analysis_model(spec, method: str):
+    """The model a method tag fits, and the bare method name."""
+    mechanism, name = _parse_method(spec.model, method)
+    return make_model(spec.model, spec.link, mechanism or spec.mechanism), name
 
 
 @dataclass
@@ -256,31 +272,17 @@ def _mc_for(spec: ExperimentSpec, trial: int, k: int) -> MonteCarloConfig:
     return MonteCarloConfig(replicates=spec.replicates, master_seed=int(child))
 
 
-def _fit_binary_method(spec, method, data, mc, psi0=None):
-    mechanism, name = _parse_method(spec.model, method)
-    model = binary.BinaryMissingModel(link=spec.link,
-                                      mechanism=mechanism or spec.mechanism)
-    fit = core.fit(model, data, name, mc, psi0=psi0)
-    return fit, model
-
-
 def _run_method(spec, method, data, mc, rng_retry):
     """Fit one method; a failed selection-model fit is retried once from a
     perturbed start before the trial is flagged."""
+    model, name = _analysis_model(spec, method)
     if spec.model == "ar1":
-        _, name = _parse_method(spec.model, method)
-        fit = ar1.fit_bounded(data, mc, method=name)
-        model = None
-    elif spec.model == "weibull":
-        _, name = _parse_method(spec.model, method)
-        fit = core.fit(weibull.WeibullSurvivalModel(), data, name, mc)
-        model = None
-    else:
-        fit, model = _fit_binary_method(spec, method, data, mc)
-        if _failed(fit) and model.mechanism == "mnar":
-            psi0 = model.initial_psi(data)
-            psi0 = psi0 + 0.25 * rng_retry.standard_normal(psi0.size)
-            fit, model = _fit_binary_method(spec, method, data, mc, psi0=psi0)
+        return ar1.fit_bounded(data, mc, method=name)
+    fit = core.fit(model, data, name, mc)
+    if spec.model == "binary" and _failed(fit) and model.mechanism == "mnar":
+        psi0 = model.initial_psi(data)
+        psi0 = psi0 + 0.25 * rng_retry.standard_normal(psi0.size)
+        fit = core.fit(model, data, name, mc, psi0=psi0)
     return fit
 
 
@@ -301,6 +303,13 @@ def _collect(spec, method, fit):
     return out
 
 
+#: numerical failures of one fit; the trial is recorded as failed, the study
+#: goes on
+_TRIAL_FAILURES = (core.NoInformativeClustersError, optim.NoFinitePointError,
+                   optim.NonFiniteStartError, binary.ProbabilityUnderflowError,
+                   weibull.NoEventsError, ar1.DegenerateDesignError)
+
+
 def run_trial(spec: ExperimentSpec, trial: int) -> TrialOutcome:
     data, _ = generate_dataset(spec, substream(spec.seed, trial, 0))
     outcome = TrialOutcome()
@@ -309,7 +318,7 @@ def run_trial(spec: ExperimentSpec, trial: int) -> TrialOutcome:
         try:
             fit = _run_method(spec, method, data, mc,
                               substream(spec.seed, trial, 100 + k))
-        except (core.NoInformativeClustersError, optim.NoFinitePointError):
+        except _TRIAL_FAILURES:
             outcome.estimates[method] = None
             continue
         outcome.estimates[method] = None if _failed(fit) else _collect(spec, method, fit)

@@ -82,7 +82,6 @@ class OptimResult:
     value: float
     converged: bool
     iterations: int
-    hessian_at_max: np.ndarray | None = None
 
 
 def maximize_scalar_bounded(f, bounds: ScalarBounds, tol: Tolerances | None = None,
@@ -189,8 +188,7 @@ def _brent_max(f, a, b, x0, f0, xtol, max_iters):
     return x, fx, max_iters, False
 
 
-def maximize_multivariate(f, x0, tol: Tolerances | None = None,
-                          compute_hessian: bool = False) -> OptimResult:
+def maximize_multivariate(f, x0, tol: Tolerances | None = None) -> OptimResult:
     """Maximize ``f`` from ``x0`` by simplex descent with quasi-Newton polish.
 
     The simplex stage is robust to the mild roughness of Monte Carlo
@@ -235,15 +233,8 @@ def maximize_multivariate(f, x0, tol: Tolerances | None = None,
         converged = gnorm <= tol.grad_tol * (1.0 + abs(val))
     except NonFiniteEvaluationError:
         converged = bool(res.success)
-
-    hess = None
-    if compute_hessian:
-        try:
-            hess = numerical_hessian(f, x)
-        except NonFiniteEvaluationError:
-            hess = None
     return OptimResult(argmax=x, value=val, converged=converged,
-                       iterations=n_iter, hessian_at_max=hess)
+                       iterations=n_iter)
 
 
 def _polish_quasi_newton(f, x, val, tol):

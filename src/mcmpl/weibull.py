@@ -40,20 +40,6 @@ class NoSolutionInBracketError(ValueError):
     """Censoring-rate calibration found no root inside its bracket."""
 
 
-@dataclass
-class WeibullParams:
-    """Shape, regression coefficients and cluster intercepts."""
-
-    shape: float
-    beta: np.ndarray
-    lam: np.ndarray | float = 0.0
-
-    def __post_init__(self):
-        if not self.shape > 0.0:
-            raise NonPositiveShapeError(f"shape {self.shape} must be positive")
-        self.beta = np.atleast_1d(np.asarray(self.beta, dtype=float))
-
-
 @dataclass(frozen=True)
 class KMCurve:
     """Right-continuous product-limit step function.
@@ -120,57 +106,6 @@ def _log_time_linpred(beta, data):
     return np.where(data.unit_mask, logy - data.covariates @ beta, _PAD)
 
 
-def loglik(params: WeibullParams, data: ClusteredDataset) -> float:
-    """Censored log-likelihood summed over clusters."""
-    return float(cluster_logliks(params.shape, params.beta, params.lam, data).sum())
-
-
-def cluster_logliks(shape, beta, lam, data) -> np.ndarray:
-    if not shape > 0.0:
-        raise NonPositiveShapeError(f"shape {shape} must be positive")
-    _check_times(data)
-    lam = np.broadcast_to(np.atleast_1d(np.asarray(lam, float)), (data.n_clusters,))
-    delta = np.where(data.unit_mask, data.indicators, 0.0)
-    d_tot = delta.sum(axis=1)
-    log_eta = np.where(data.unit_mask,
-                       -(lam[:, None] + data.covariates @ np.atleast_1d(beta)), 0.0)
-    logy = np.where(data.unit_mask, np.log(data.responses), 0.0)
-    with np.errstate(over="ignore"):
-        pow_sum = np.where(data.unit_mask,
-                           np.exp(shape * (log_eta + logy)), 0.0).sum(axis=1)
-    return (shape * (delta * log_eta).sum(axis=1) + d_tot * np.log(shape)
-            + (shape - 1.0) * (delta * logy).sum(axis=1) - pow_sum)
-
-
-def nuisance_score(params: WeibullParams, data: ClusteredDataset) -> np.ndarray:
-    """Per-cluster intercept score: -shape * events + shape * sum (eta y)^shape."""
-    _check_times(data)
-    lam = np.broadcast_to(np.atleast_1d(np.asarray(params.lam, float)),
-                          (data.n_clusters,))
-    delta = np.where(data.unit_mask, data.indicators, 0.0)
-    log_eta_y = np.where(data.unit_mask,
-                         np.log(data.responses) - (lam[:, None]
-                                                   + data.covariates @ params.beta),
-                         _PAD)
-    with np.errstate(over="ignore"):
-        pow_sum = np.exp(params.shape * log_eta_y).sum(axis=1)
-    return params.shape * (pow_sum - delta.sum(axis=1))
-
-
-def nuisance_obs_info(params: WeibullParams, data: ClusteredDataset) -> np.ndarray:
-    """Per-cluster observed information: shape^2 * sum (eta y)^shape."""
-    _check_times(data)
-    lam = np.broadcast_to(np.atleast_1d(np.asarray(params.lam, float)),
-                          (data.n_clusters,))
-    log_eta_y = np.where(data.unit_mask,
-                         np.log(data.responses) - (lam[:, None]
-                                                   + data.covariates @ params.beta),
-                         _PAD)
-    with np.errstate(over="ignore"):
-        pow_sum = np.exp(params.shape * log_eta_y).sum(axis=1)
-    return params.shape ** 2 * pow_sum
-
-
 def constrained_nuisance_closed_form(shape, beta, data: ClusteredDataset) -> np.ndarray:
     """Explicit constrained intercept estimates, one per cluster.
 
@@ -182,7 +117,6 @@ def constrained_nuisance_closed_form(shape, beta, data: ClusteredDataset) -> np.
     """
     if not shape > 0.0:
         raise NonPositiveShapeError(f"shape {shape} must be positive")
-    _check_times(data)
     d_tot = np.where(data.unit_mask, data.indicators, 0.0).sum(axis=1)
     if np.any(d_tot < 1.0):
         raise NoEventsError("a cluster without events was not dropped")
@@ -340,16 +274,54 @@ class WeibullSurvivalModel(ClusteredModel):
         return bool(np.all(np.isfinite(psi)) and psi[0] > 0.0)
 
     def informative_mask(self, data):
+        # the first model call of a fit: validate the times once here, not
+        # on every likelihood evaluation
+        _check_times(data)
         return np.where(data.unit_mask, data.indicators, 0.0).sum(axis=1) >= 1.0
 
     def cluster_logliks(self, psi, lam, data):
-        return cluster_logliks(psi[0], psi[1:], lam, data)
+        """Censored log-likelihood of each cluster."""
+        shape, beta = psi[0], psi[1:]
+        if not shape > 0.0:
+            raise NonPositiveShapeError(f"shape {shape} must be positive")
+        lam = np.broadcast_to(np.atleast_1d(np.asarray(lam, float)), (data.n_clusters,))
+        delta = np.where(data.unit_mask, data.indicators, 0.0)
+        d_tot = delta.sum(axis=1)
+        log_eta = np.where(data.unit_mask,
+                           -(lam[:, None] + data.covariates @ np.atleast_1d(beta)), 0.0)
+        logy = np.where(data.unit_mask, np.log(data.responses), 0.0)
+        with np.errstate(over="ignore"):
+            pow_sum = np.where(data.unit_mask,
+                               np.exp(shape * (log_eta + logy)), 0.0).sum(axis=1)
+        return (shape * (delta * log_eta).sum(axis=1) + d_tot * np.log(shape)
+                + (shape - 1.0) * (delta * logy).sum(axis=1) - pow_sum)
 
     def nuisance_score(self, psi, lam, data):
-        return nuisance_score(WeibullParams(psi[0], psi[1:], lam), data)
+        """Per-cluster intercept score: -shape * events + shape * sum (eta y)^shape."""
+        shape, beta = psi[0], np.atleast_1d(np.asarray(psi[1:], dtype=float))
+        lam = np.broadcast_to(np.atleast_1d(np.asarray(lam, float)),
+                              (data.n_clusters,))
+        delta = np.where(data.unit_mask, data.indicators, 0.0)
+        log_eta_y = np.where(data.unit_mask,
+                             np.log(data.responses) - (lam[:, None]
+                                                       + data.covariates @ beta),
+                             _PAD)
+        with np.errstate(over="ignore"):
+            pow_sum = np.exp(shape * log_eta_y).sum(axis=1)
+        return shape * (pow_sum - delta.sum(axis=1))
 
     def nuisance_obs_info(self, psi, lam, data):
-        return nuisance_obs_info(WeibullParams(psi[0], psi[1:], lam), data)
+        """Per-cluster observed information: shape^2 * sum (eta y)^shape."""
+        shape, beta = psi[0], np.atleast_1d(np.asarray(psi[1:], dtype=float))
+        lam = np.broadcast_to(np.atleast_1d(np.asarray(lam, float)),
+                              (data.n_clusters,))
+        log_eta_y = np.where(data.unit_mask,
+                             np.log(data.responses) - (lam[:, None]
+                                                       + data.covariates @ beta),
+                             _PAD)
+        with np.errstate(over="ignore"):
+            pow_sum = np.exp(shape * log_eta_y).sum(axis=1)
+        return shape ** 2 * pow_sum
 
     def constrained_nuisance(self, psi, data):
         d_tot = np.where(data.unit_mask, data.indicators, 0.0).sum(axis=1)
@@ -361,28 +333,9 @@ class WeibullSurvivalModel(ClusteredModel):
             out[ok] = constrained_nuisance_closed_form(psi[0], psi[1:], data.subset(ok))
         return out
 
-    def simulate_replicate(self, psi, lam, data, rng, km: KMCurve | None = None):
+    def build_replicates(self, psi, lam, data, rng, n_replicates):
         """New failure times from the fit; censoring times by conditional
         bootstrap from the pooled Kaplan-Meier curve."""
-        if km is None:
-            km = km_censoring(data)
-        shape = float(psi[0])
-        lam = np.asarray(lam, dtype=float)
-        log_eta = -(lam[:, None] + data.covariates @ np.asarray(psi[1:], float))
-        draws = rng.standard_exponential(data.responses.shape)
-        new_fail = draws ** (1.0 / shape) * np.exp(-log_eta)
-        u = rng.random(data.responses.shape)
-        cens = np.where(data.indicators == 0.0, data.responses,
-                        km.generalized_inverse(u * km.evaluate(data.responses)))
-        times = np.minimum(new_fail, cens)
-        events = (new_fail <= cens).astype(float)
-        times = np.where(data.unit_mask, times, np.nan)
-        events = np.where(data.unit_mask, events, 0.0)
-        return ClusteredDataset(responses=times, covariates=data.covariates,
-                                indicators=events, unit_mask=data.unit_mask,
-                                cluster_labels=data.cluster_labels)
-
-    def build_replicates(self, psi, lam, data, rng, n_replicates):
         km = km_censoring(data)
         shape = float(psi[0])
         lam = np.asarray(lam, dtype=float)
@@ -416,15 +369,3 @@ class WeibullSurvivalModel(ClusteredModel):
     def replicate_expectation(self, bank, psi, lam_psi, data):
         scores_psi = self._replicate_scores(bank, psi, lam_psi, data)
         return (scores_psi * bank.scores_at_mle).mean(axis=0)
-
-
-def mc_expectation(fit_at_mle, psi, bank, data: ClusteredDataset) -> np.ndarray:
-    """Monte Carlo score-product expectation per cluster at ``psi``.
-
-    ``fit_at_mle`` is unused beyond having parameterized the bank, whose
-    stored scores already sit at the maximum likelihood estimate.
-    """
-    model = WeibullSurvivalModel()
-    psi = np.atleast_1d(np.asarray(psi, dtype=float))
-    lam_psi = model.constrained_nuisance(psi, data)
-    return model.replicate_expectation(bank, psi, lam_psi, data)

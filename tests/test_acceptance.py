@@ -155,7 +155,7 @@ def _sim_mcar(n, t, seed):
     y = (rng.random((n, t)) < expit(lam[:, None] + x)).astype(float)
     miss = (rng.random((n, t)) < expit(2.5 * x)).astype(float)
     data = binary.make_binary_dataset(np.where(miss == 1, np.nan, y), x, miss)
-    return binary.drop_noninformative(data)[0]
+    return core.drop_noninformative(binary.BinaryMissingModel(), data)[0]
 
 
 def _sim_weibull(n, t, seed):
@@ -206,8 +206,8 @@ def test_criterion_5_property_suite(tmp_path, capsys):
         lam = weibull.constrained_nuisance_closed_form(shape, beta, data1)[0]
 
         def g(v):
-            return weibull.nuisance_score(weibull.WeibullParams(shape, beta, v),
-                                          data1)[0]
+            return wmodel.nuisance_score(np.concatenate([[shape], beta]),
+                                         np.array([v]), data1)[0]
 
         root = core.optim.find_root_scalar(
             g, core.optim.ScalarBounds(lam - 2, lam + 2),
@@ -220,7 +220,8 @@ def test_criterion_5_property_suite(tmp_path, capsys):
     for shape in (0.8, 1.5, 2.0):
         beta = np.array([-0.7, 0.6])
         lamw = weibull.constrained_nuisance_closed_form(shape, beta, wdata)
-        plug = weibull.loglik(weibull.WeibullParams(shape, beta, lamw), wdata)
+        plug = float(wmodel.cluster_logliks(np.concatenate([[shape], beta]), lamw,
+                                            wdata).sum())
         gap = max(gap, abs(weibull.profile_loglik(shape, beta, wdata) - plug)
                   / (1 + abs(plug)))
     checks.append(("profile_display", gap <= 1e-10, f"{gap:.2e}"))

@@ -4,16 +4,19 @@ import pytest
 from mcmpl import ar1, core, optim
 from mcmpl.ar1 import (
     AR1PanelModel,
-    AR1Params,
     DegenerateDesignError,
     constrained_lambda,
     constrained_sigma2,
     fit_bounded,
-    loglik,
     make_panel_dataset,
     ols_fit,
 )
 from mcmpl.core import MonteCarloConfig, substream
+
+
+def loglik(rho, sigma2, lam, data):
+    psi = np.array([rho, sigma2])
+    return float(AR1PanelModel().cluster_logliks(psi, lam, data).sum())
 
 
 def simulate_panel(n, t, rho=0.5, sigma2=1.0, seed=0, lam=None):
@@ -32,11 +35,11 @@ class TestLoglik:
     def test_perfect_fit_zero(self):
         # y_t = 0.5 + 0.5 y_{t-1} from y_0 = 1: residuals vanish
         data = make_panel_dataset(np.array([[1.0, 1.0]]), [1.0])
-        assert loglik(AR1Params(0.5, 1.0, 0.5), data) == 0.0
+        assert loglik(0.5, 1.0, 0.5, data) == 0.0
 
     def test_unit_residuals(self):
         data = make_panel_dataset(np.array([[1.0, -1.0]]), [0.0])
-        assert loglik(AR1Params(0.0, 1.0, 0.0), data) == pytest.approx(-1.0)
+        assert loglik(0.0, 1.0, 0.0, data) == pytest.approx(-1.0)
 
     def test_matches_normal_density_up_to_constant(self):
         from scipy.stats import norm
@@ -51,7 +54,7 @@ class TestLoglik:
             dens = norm.logpdf(data.responses, lam[:, None] + rho * lagged,
                                np.sqrt(s2)).sum()
             n_units = data.responses.size
-            val = loglik(AR1Params(rho, s2, lam), data)
+            val = loglik(rho, s2, lam, data)
             assert val == pytest.approx(dens + 0.5 * n_units * np.log(2 * np.pi),
                                         abs=1e-12)
 
@@ -103,7 +106,7 @@ class TestOlsFit:
         def joint(v):
             if v[1] <= 0:
                 return -np.inf
-            return loglik(AR1Params(v[0], v[1], v[2:]), data)
+            return loglik(v[0], v[1], v[2:], data)
 
         res = optim.maximize_multivariate(joint, np.array([0.0, 1.0, 0.0, 0.0]))
         assert res.argmax[0] == pytest.approx(rho, abs=1e-6)

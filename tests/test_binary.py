@@ -6,73 +6,57 @@ from scipy.stats import norm
 from mcmpl import binary, core, optim
 from mcmpl.binary import (
     BinaryMissingModel,
-    BinaryMissingParams,
-    CellProbabilities,
-    cell_probabilities,
-    cluster_obs_loglik,
-    constrained_nuisance,
-    drop_noninformative,
-    exact_expectation_mcar,
     fit_missingness_regression,
     make_binary_dataset,
-    mcar_cluster_loglik,
-    nuisance_obs_info,
-    nuisance_score,
 )
 from mcmpl.core import MonteCarloConfig, substream
 
-
-def single_unit(y=None, missing=False, x=0.0):
-    resp = np.array([[np.nan if missing else float(y)]])
-    miss = np.array([[1.0 if missing else 0.0]])
-    return make_binary_dataset(resp, np.array([[x]]), miss)
+MCAR = BinaryMissingModel()
+MNAR = BinaryMissingModel(mechanism="mnar")
 
 
-def random_cluster(rng, t=6, link="logit", mnar=True):
+def random_cluster(rng, t=6, link="logit"):
+    """A one-cluster dataset with MNAR parameters (beta, gamma1, gamma2) and lam."""
     x = rng.normal(size=(1, t))
     y = (rng.random((1, t)) < 0.5).astype(float)
     miss = (rng.random((1, t)) < 0.3).astype(float)
     data = make_binary_dataset(np.where(miss == 1, np.nan, y), x, miss)
-    params = BinaryMissingParams(beta=rng.normal(), gamma1=rng.normal(),
-                                 gamma2=rng.normal() if mnar else 0.0,
-                                 lam=rng.normal(),
-                                 mechanism="mnar" if mnar else "mcar", link=link)
-    return params, data
+    psi = np.array([rng.normal(), rng.normal(), rng.normal()])
+    lam = np.array([rng.normal()])
+    return BinaryMissingModel(link=link, mechanism="mnar"), psi, lam, data
+
+
+def informative(data, model=MCAR):
+    return core.drop_noninformative(model, data)
 
 
 class TestClusterObsLoglik:
     def test_single_missing_unit(self):
         # pi=0.5, zeta0=0.2, zeta1=0.4 -> log 0.3
-        data = single_unit(missing=True)
-        params = BinaryMissingParams(beta=[0.0],
-                                     gamma1=[np.log(0.2 / 0.8)],
-                                     gamma2=np.log(0.4 / 0.6) - np.log(0.2 / 0.8),
-                                     lam=0.0, mechanism="mnar")
-        # x = 0 kills gamma1' x; use gamma2 path through an intercept-like trick
+        # x = 1 carries gamma1' x; gamma2 moves zeta from 0.2 to 0.4
         data = make_binary_dataset(np.array([[np.nan]]), np.array([[1.0]]),
                                    np.array([[1.0]]))
-        params = BinaryMissingParams(beta=[0.0], gamma1=[np.log(0.2 / 0.8)],
-                                     gamma2=np.log(0.4 / 0.6) - np.log(0.2 / 0.8),
-                                     lam=0.0, mechanism="mnar")
-        assert cluster_obs_loglik(params, data) == pytest.approx(np.log(0.3), abs=1e-10)
+        psi = np.array([0.0, np.log(0.2 / 0.8),
+                        np.log(0.4 / 0.6) - np.log(0.2 / 0.8)])
+        ll = MNAR.cluster_logliks(psi, np.zeros(1), data)[0]
+        assert ll == pytest.approx(np.log(0.3), abs=1e-10)
 
     def test_single_observed_unit(self):
         # m=0, y=1, pi=0.5, zeta=0.2 -> log 0.5 + log 0.8
         data = make_binary_dataset(np.array([[1.0]]), np.array([[1.0]]),
                                    np.array([[0.0]]))
-        params = BinaryMissingParams(beta=[0.0], gamma1=[np.log(0.2 / 0.8)],
-                                     gamma2=0.0, lam=0.0, mechanism="mnar")
-        assert cluster_obs_loglik(params, data) == pytest.approx(
+        psi = np.array([0.0, np.log(0.2 / 0.8), 0.0])
+        assert MNAR.cluster_logliks(psi, np.zeros(1), data)[0] == pytest.approx(
             np.log(0.5) + np.log(0.8), abs=1e-10)
 
     def test_collapses_to_mcar_plus_missingness_terms(self):
         rng = np.random.default_rng(7)
         for _ in range(5):
-            params, data = random_cluster(rng, mnar=True)
-            params.gamma2 = 0.0
-            full = cluster_obs_loglik(params, data)
-            mcar = mcar_cluster_loglik(params, data)
-            u = np.clip(data.covariates @ params.gamma1, -35, 35)
+            model, psi, lam, data = random_cluster(rng)
+            psi[2] = 0.0
+            full = model.cluster_logliks(psi, lam, data)[0]
+            mcar = MCAR.cluster_logliks(psi[:1], lam, data)[0]
+            u = np.clip(data.covariates @ psi[1:2], -35, 35)
             zeta = expit(u)
             obs = (data.indicators == 0.0) & data.unit_mask
             mis = (data.indicators == 1.0) & data.unit_mask
@@ -85,103 +69,94 @@ class TestMcarClusterLoglik:
     def test_all_missing_is_zero(self):
         data = make_binary_dataset(np.array([[np.nan, np.nan]]),
                                    np.zeros((1, 2)), np.ones((1, 2)))
-        params = BinaryMissingParams(beta=[0.3], lam=0.1)
-        assert mcar_cluster_loglik(params, data) == 0.0
+        assert MCAR.cluster_logliks(np.array([0.3]), np.array([0.1]), data)[0] == 0.0
 
     def test_two_units_half_probability(self):
         data = make_binary_dataset(np.array([[1.0, 0.0]]), np.zeros((1, 2)))
-        params = BinaryMissingParams(beta=[0.0], lam=0.0)
-        assert mcar_cluster_loglik(params, data) == pytest.approx(2 * np.log(0.5))
+        assert MCAR.cluster_logliks(np.array([0.0]), np.zeros(1), data)[0] \
+            == pytest.approx(2 * np.log(0.5))
 
 
 class TestNuisanceScore:
     def test_logit_zero_at_observed_mean(self):
         y = np.array([[1.0, 1.0, 0.0, 1.0]])
         data = make_binary_dataset(y, np.zeros((1, 4)))
-        lam = np.log(0.75 / 0.25)
-        params = BinaryMissingParams(beta=[0.0], lam=lam)
-        assert nuisance_score(params, data) == pytest.approx(0.0, abs=1e-12)
+        lam = np.array([np.log(0.75 / 0.25)])
+        assert MCAR.nuisance_score(np.array([0.0]), lam, data)[0] \
+            == pytest.approx(0.0, abs=1e-12)
 
     def test_probit_matches_numerical_gradient(self):
         data = make_binary_dataset(np.array([[1.0, 0.0, 1.0]]),
                                    np.array([[0.2, -0.4, 0.9]]))
-        params = BinaryMissingParams(beta=[0.7], lam=0.0, link="probit")
+        model = BinaryMissingModel(link="probit")
+        beta = np.array([0.7])
 
         def loglik(lam):
-            p = BinaryMissingParams(beta=[0.7], lam=lam, link="probit")
-            return mcar_cluster_loglik(p, data)
+            return model.cluster_logliks(beta, np.array([lam]), data)[0]
 
         numeric = optim.numerical_gradient(loglik, 0.3)
-        params.lam = 0.3
-        assert nuisance_score(params, data) == pytest.approx(numeric, abs=1e-5)
+        assert model.nuisance_score(beta, np.array([0.3]), data)[0] \
+            == pytest.approx(numeric, abs=1e-5)
 
     def test_mnar_missing_units_vanish_when_zetas_equal(self):
         data = make_binary_dataset(np.array([[np.nan, np.nan]]),
                                    np.array([[0.5, -0.5]]), np.ones((1, 2)))
-        params = BinaryMissingParams(beta=[0.4], gamma1=[1.0], gamma2=0.0,
-                                     lam=0.2, mechanism="mnar")
-        assert nuisance_score(params, data) == 0.0
+        psi = np.array([0.4, 1.0, 0.0])
+        assert MNAR.nuisance_score(psi, np.array([0.2]), data)[0] == 0.0
 
 
 class TestNuisanceObsInfo:
     def test_logit_symmetric_point(self):
         data = make_binary_dataset(np.array([[1.0, 0.0, 1.0, 0.0]]),
                                    np.zeros((1, 4)))
-        params = BinaryMissingParams(beta=[0.0], lam=0.0)
-        assert nuisance_obs_info(params, data) == pytest.approx(1.0, abs=1e-12)
+        assert MCAR.nuisance_obs_info(np.array([0.0]), np.zeros(1), data)[0] \
+            == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("link", ["logit", "probit"])
     def test_matches_second_difference(self, link):
         rng = np.random.default_rng(11)
         for _ in range(8):
-            params, data = random_cluster(rng, link=link, mnar=True)
+            model, psi, lam, data = random_cluster(rng, link=link)
 
-            def loglik(lam):
-                p = BinaryMissingParams(beta=params.beta, gamma1=params.gamma1,
-                                        gamma2=params.gamma2, lam=lam,
-                                        mechanism="mnar", link=link)
-                return cluster_obs_loglik(p, data)
+            def loglik(v):
+                return model.cluster_logliks(psi, np.array([v]), data)[0]
 
-            h = optim.numerical_hessian(loglik, float(params.lam))[0, 0]
-            analytic = nuisance_obs_info(params, data)
+            h = optim.numerical_hessian(loglik, float(lam[0]))[0, 0]
+            analytic = model.nuisance_obs_info(psi, lam, data)[0]
             assert abs(analytic - (-h)) <= 1e-4 * (1.0 + abs(analytic))
 
     def test_fully_missing_equal_zetas_zero(self):
         data = make_binary_dataset(np.array([[np.nan, np.nan]]),
                                    np.array([[0.3, -0.1]]), np.ones((1, 2)))
-        params = BinaryMissingParams(beta=[0.4], gamma1=[1.0], gamma2=0.0,
-                                     lam=0.2, mechanism="mnar")
-        assert nuisance_obs_info(params, data) == 0.0
+        psi = np.array([0.4, 1.0, 0.0])
+        assert MNAR.nuisance_obs_info(psi, np.array([0.2]), data)[0] == 0.0
 
 
 class TestConstrainedNuisance:
     def test_closed_form_null_covariates(self):
         y = np.array([[1.0, 0.0, 0.0, 0.0]])
         data = make_binary_dataset(y, np.zeros((1, 4)))
-        params = BinaryMissingParams(beta=[0.0])
-        assert constrained_nuisance(params, data) == pytest.approx(np.log(1 / 3),
-                                                                   abs=1e-9)
+        assert MCAR.constrained_nuisance(np.array([0.0]), data)[0] \
+            == pytest.approx(np.log(1 / 3), abs=1e-9)
 
     def test_separation_returns_infinite(self):
         data = make_binary_dataset(np.array([[1.0, 1.0, 1.0]]), np.zeros((1, 3)))
-        params = BinaryMissingParams(beta=[0.0])
-        assert constrained_nuisance(params, data) == np.inf
+        assert MCAR.constrained_nuisance(np.array([0.0]), data)[0] == np.inf
 
     def test_root_property(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
-            params, data = random_cluster(rng, mnar=True)
-            _, dropped = drop_noninformative(data)
+            model, psi, _, data = random_cluster(rng)
+            _, dropped = informative(data)
             if dropped:
                 continue
-            lam = constrained_nuisance(params, data)
-            params.lam = lam
-            assert abs(nuisance_score(params, data)) <= 1e-6
+            lam = model.constrained_nuisance(psi, data)
+            assert abs(model.nuisance_score(psi, lam, data)[0]) <= 1e-6
 
 
 class TestExactExpectation:
     def test_logit_at_mle_equals_info(self):
-        data, _ = drop_noninformative(_sim_mcar(40, 6, seed=2))
+        data, _ = informative(_sim_mcar(40, 6, seed=2))
         model = BinaryMissingModel()
         fit = core.fit(model, data, "profile")
         lam = model.constrained_nuisance(fit.psi_hat, data)
@@ -192,13 +167,14 @@ class TestExactExpectation:
     def test_probit_single_unit_constant(self):
         # phi(0)^2 / (Phi(0)(1 - Phi(0))) = (0.39894...)^2 / 0.25
         data = make_binary_dataset(np.array([[1.0]]), np.array([[0.0]]))
-        mle = BinaryMissingParams(beta=[0.0], lam=0.0, link="probit")
-        val = exact_expectation_mcar(mle, [0.0], data, lam_beta=0.0)
+        zero = np.zeros(1)
+        val = BinaryMissingModel(link="probit").exact_expectation(
+            zero, zero, zero, zero, data)[0]
         assert val == pytest.approx(norm.pdf(0.0) ** 2 / 0.25, abs=1e-6)
         assert val == pytest.approx(0.63662, abs=1e-5)
 
     def test_logit_constant_in_beta(self):
-        data, _ = drop_noninformative(_sim_mcar(30, 5, seed=4))
+        data, _ = informative(_sim_mcar(30, 5, seed=4))
         model = BinaryMissingModel()
         fit = core.fit(model, data, "profile")
         lam_mle = model.constrained_nuisance(fit.psi_hat, data)
@@ -216,7 +192,7 @@ class TestExactExpectation:
         # the replicate scheme deletes units anew each replicate, so the MC
         # limit is the unconditional expectation: the per-unit closed-form
         # terms weighted by the estimated observation probabilities
-        data, _ = drop_noninformative(_sim_mcar(20, 5, seed=6))
+        data, _ = informative(_sim_mcar(20, 5, seed=6))
         model = BinaryMissingModel(link="probit")
         fit = core.fit(model, data, "profile")
         psi = fit.psi_hat + 0.2
@@ -251,19 +227,19 @@ def _sim_mcar(n, t, seed, gamma1=2.5):
 
 class TestSimulateReplicate:
     def test_zero_deletion_probability_keeps_everything(self):
-        data, _ = drop_noninformative(_sim_mcar(10, 5, seed=8))
+        data, _ = informative(_sim_mcar(10, 5, seed=8))
         model = BinaryMissingModel(mechanism="mnar")
         psi = np.array([1.0, -30.0, 0.0])  # G(-30 x) ~ 0 for x > 0
         data_pos = make_binary_dataset(
             np.where(data.indicators == 1, np.nan, data.responses),
             np.abs(data.covariates[:, :, 0]) + 0.1, data.indicators)
         lam = np.zeros(data_pos.n_clusters)
-        rep = model.simulate_replicate(psi, lam, data_pos, substream(1, 0))
-        assert rep.indicators.sum() == 0
-        assert np.array_equal(rep.covariates, data_pos.covariates)
+        bank = model.build_replicates(psi, lam, data_pos, substream(1, 0), 1)
+        assert bank.miss.sum() == 0
+        assert np.array_equal(bank.obs[0], data_pos.unit_mask)
 
     def test_missing_fraction_binomial_oracle(self):
-        data, _ = drop_noninformative(_sim_mcar(12, 6, seed=9))
+        data, _ = informative(_sim_mcar(12, 6, seed=9))
         model = BinaryMissingModel()
         fit = core.fit(model, data, "profile")
         lam = model.constrained_nuisance(fit.psi_hat, data)
@@ -289,19 +265,19 @@ class TestDropNoninformative:
     def test_all_ones_dropped(self):
         data = make_binary_dataset(np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]]),
                                    np.zeros((2, 3)))
-        kept, dropped = drop_noninformative(data)
+        kept, dropped = informative(data)
         assert dropped == 1 and kept.n_clusters == 1
 
     def test_fully_missing_dropped(self):
         data = make_binary_dataset(
             np.array([[np.nan, np.nan], [1.0, 0.0]]), np.zeros((2, 2)),
             np.array([[1.0, 1.0], [0.0, 0.0]]))
-        kept, dropped = drop_noninformative(data)
+        kept, dropped = informative(data)
         assert dropped == 1 and kept.n_clusters == 1
 
     def test_mixed_kept(self):
         data = make_binary_dataset(np.array([[1.0, 0.0]]), np.zeros((1, 2)))
-        kept, dropped = drop_noninformative(data)
+        kept, dropped = informative(data)
         assert dropped == 0 and kept.n_clusters == 1
 
 
@@ -342,7 +318,7 @@ class TestMissingnessRegression:
 
 class TestInvariantsAndProperties:
     def test_mcar_via_constrained_mnar_machinery(self):
-        data, _ = drop_noninformative(_sim_mcar(40, 6, seed=15))
+        data, _ = informative(_sim_mcar(40, 6, seed=15))
         mc = MonteCarloConfig(replicates=150, master_seed=55)
         fit_mcar = core.fit(BinaryMissingModel(mechanism="mcar"), data, "mcmpl", mc)
         fit_mnar0 = core.fit(BinaryMissingModel(mechanism="mnar", fixed_gamma2=0.0),
@@ -350,22 +326,17 @@ class TestInvariantsAndProperties:
         assert abs(fit_mcar.psi_hat[0] - fit_mnar0.psi_hat[0]) <= 1e-3
 
     def test_mixture_strictly_inside_unit_interval(self):
+        # one missing unit per cluster: its log-likelihood is log P(missing)
         rng = np.random.default_rng(16)
-        probs = cell_probabilities(
-            BinaryMissingParams(beta=[0.5], gamma1=[1.5], gamma2=0.7,
-                                lam=rng.normal(size=3), mechanism="mnar"),
-            make_binary_dataset(np.ones((3, 4)), rng.normal(size=(3, 4))))
-        mix = probs.mixture()
-        assert np.all((mix > 0.0) & (mix < 1.0))
-
-    def test_cell_probabilities_validation(self):
-        with pytest.raises(ValueError):
-            CellProbabilities(pi=np.array([0.0]), zeta0=np.array([0.5]),
-                              zeta1=np.array([0.5]))
+        lam = np.repeat(rng.normal(size=3), 4)
+        x = rng.normal(size=(3, 4)).reshape(12, 1)
+        data = make_binary_dataset(np.full((12, 1), np.nan), x, np.ones((12, 1)))
+        log_mix = MNAR.cluster_logliks(np.array([0.5, 1.5, 0.7]), lam, data)
+        assert np.all(np.isfinite(log_mix) & (log_mix < 0.0))
 
     @pytest.mark.parametrize("link", ["logit", "probit"])
     def test_sign_symmetry(self, link):
-        data, _ = drop_noninformative(_sim_mcar(50, 6, seed=17))
+        data, _ = informative(_sim_mcar(50, 6, seed=17))
         model = BinaryMissingModel(link=link)
         fit_pos = core.fit(model, data, "profile")
         flipped = make_binary_dataset(
@@ -383,7 +354,7 @@ class TestInvariantsAndProperties:
         miss = np.where(y == 1.0, 1.0, 0.0)
         miss[:, 0] = 0.0  # keep one observed unit, mixed responses survive
         data = make_binary_dataset(np.where(miss == 1, np.nan, y), x, miss)
-        data, _ = drop_noninformative(data)
+        data, _ = informative(data)
         fit = core.fit(BinaryMissingModel(mechanism="mnar"), data, "profile",
                        MonteCarloConfig(replicates=10, master_seed=1))
         assert "gamma2_at_bound" in fit.warnings

@@ -139,6 +139,30 @@ class TestFitCommand:
         assert code == 1
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model,mechanism", [("binary", "mnar"),
+                                                 ("weibull", "mcar"), ("ar1", "mcar")])
+    def test_mpl_exact_without_closed_form_exit_one(self, tmp_path, capsys,
+                                                     model, mechanism):
+        maker = {"binary": binary_csv, "weibull": weibull_csv, "ar1": ar1_csv}[model]
+        path, _ = maker(tmp_path)
+        out = tmp_path / "fit.csv"
+        assert main(["fit", "--model", model, "--mechanism", mechanism,
+                     "--method", "mpl-exact", "--data", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("option", [["--replicates", "0"], ["--level", "1.5"],
+                                        ["--level", "0"]])
+    def test_bad_option_exit_one(self, tmp_path, capsys, option):
+        path, _ = binary_csv(tmp_path)
+        out = tmp_path / "fit.csv"
+        assert main(["fit", "--model", "binary", "--method", "profile",
+                     "--data", path, "--out", str(out)] + option) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_column_exit_one(self, tmp_path, capsys):
         path = write_lines(tmp_path / "bad.csv", ["cluster,t,y", "1,1,1"])
         assert main(["fit", "--model", "binary", "--data", path,
@@ -266,6 +290,14 @@ class TestTraceCommand:
         assert len(rows) == 21
         lm = np.array([float(r[2]) if r[2] else -np.inf for r in rows])
         assert lm[np.isfinite(lm)].max() == pytest.approx(0.0, abs=1e-9)
+
+    def test_zero_replicates_exit_one(self, tmp_path, capsys):
+        path, _ = ar1_csv(tmp_path)
+        assert main(["trace", "--model", "ar1", "--data", path, "--param", "rho",
+                     "--grid", "0.0:0.5:0.1", "--replicates", "0",
+                     "--out", str(tmp_path / "t.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "replicate" in err
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
         path, _ = ar1_csv(tmp_path)

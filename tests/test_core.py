@@ -3,7 +3,6 @@ import pytest
 
 from mcmpl import binary, core, optim, weibull
 from mcmpl.core import (
-    ClusteredModel,
     MonteCarloConfig,
     NoInformativeClustersError,
     NonPositiveSEError,
@@ -27,6 +26,11 @@ def simulated_mcar(n=60, t=6, seed=3):
     return binary.make_binary_dataset(np.where(miss == 1, np.nan, y), x, miss)
 
 
+def informative_mcar(**kwargs):
+    data = simulated_mcar(**kwargs)
+    return core.drop_noninformative(binary.BinaryMissingModel(), data)[0]
+
+
 class TestProfileLoglik:
     def test_one_cluster_logit_toy(self):
         # lambda_hat = logit(2/4) = 0, every pi = 1/2
@@ -35,7 +39,7 @@ class TestProfileLoglik:
         assert value == pytest.approx(4 * np.log(0.5), abs=1e-10)
 
     def test_equals_full_maximum_at_mle(self):
-        data, _ = binary.drop_noninformative(simulated_mcar())
+        data = informative_mcar()
         model = binary.BinaryMissingModel()
         fit = core.fit(model, data, "profile")
         lam = model.constrained_nuisance(fit.psi_hat, data)
@@ -53,7 +57,7 @@ class TestProfileLoglik:
         assert np.isfinite(core.profile_loglik(model, kept, np.array([1.0, 0.0])))
 
     def test_maximality_around_mle(self):
-        data, _ = binary.drop_noninformative(simulated_mcar())
+        data = informative_mcar()
         model = binary.BinaryMissingModel()
         fit = core.fit(model, data, "profile")
         at_max = core.profile_loglik(model, data, fit.psi_hat)
@@ -70,7 +74,7 @@ class TestProfileLoglik:
 
 class TestScoreAtConstrainedRoot:
     def test_score_vanishes_per_cluster(self):
-        data, _ = binary.drop_noninformative(simulated_mcar())
+        data = informative_mcar()
         model = binary.BinaryMissingModel()
         rng = substream(5, 0)
         for _ in range(10):
@@ -82,19 +86,20 @@ class TestScoreAtConstrainedRoot:
 
 class TestMCExpectation:
     def test_nonnegative_at_mle(self):
-        data, _ = binary.drop_noninformative(simulated_mcar())
+        data = informative_mcar()
         model = binary.BinaryMissingModel()
         fit = core.fit(model, data, "profile")
         lam = model.constrained_nuisance(fit.psi_hat, data)
         mc = MonteCarloConfig(replicates=100, master_seed=17)
-        vals = core.mc_expectation_term(model, data, (fit.psi_hat, lam),
-                                        fit.psi_hat, mc)
+        bank = model.build_replicates(fit.psi_hat, lam, data, mc.generator(0),
+                                      mc.replicates)
+        vals = model.replicate_expectation(bank, fit.psi_hat, lam, data)
         assert np.all(vals >= 0.0)
 
     def test_matches_analytic_logit_value(self):
         # at large R the MC average sits within 3 MC standard errors of the
         # pattern-weighted analytic value sum (1 - zeta) pi (1 - pi)
-        data, _ = binary.drop_noninformative(simulated_mcar(n=25, t=5))
+        data = informative_mcar(n=25, t=5)
         model = binary.BinaryMissingModel()
         fit = core.fit(model, data, "profile")
         psi, lam = fit.psi_hat, model.constrained_nuisance(fit.psi_hat, data)
@@ -110,16 +115,20 @@ class TestMCExpectation:
         assert np.all(np.abs(vals - analytic) <= 3.0 * mc_se)
 
     def test_bit_reproducible(self):
-        data, _ = binary.drop_noninformative(simulated_mcar())
+        data = informative_mcar()
         model = binary.BinaryMissingModel()
         fit = core.fit(model, data, "profile")
         lam = model.constrained_nuisance(fit.psi_hat, data)
         mc = MonteCarloConfig(replicates=200, master_seed=99)
-        a = core.mc_expectation_term(model, data, (fit.psi_hat, lam),
-                                     fit.psi_hat + 0.1, mc)
-        b = core.mc_expectation_term(model, data, (fit.psi_hat, lam),
-                                     fit.psi_hat + 0.1, mc)
-        assert np.array_equal(a, b)
+        psi = fit.psi_hat + 0.1
+        lam_psi = model.constrained_nuisance(psi, data)
+
+        def expectation():
+            bank = model.build_replicates(fit.psi_hat, lam, data, mc.generator(0),
+                                          mc.replicates)
+            return model.replicate_expectation(bank, psi, lam_psi, data)
+
+        assert np.array_equal(expectation(), expectation())
 
 
 class _ExactEqualsInfoModel(binary.BinaryMissingModel):
@@ -131,20 +140,19 @@ class _ExactEqualsInfoModel(binary.BinaryMissingModel):
 
 class TestModifiedProfile:
     def test_modification_reduces_to_half_log_info(self):
-        data, _ = binary.drop_noninformative(simulated_mcar())
+        data = informative_mcar()
         model = _ExactEqualsInfoModel()
         fit = core.fit(model, data, "profile")
         lam_mle = model.constrained_nuisance(fit.psi_hat, data)
         psi = fit.psi_hat + 0.3
         lam_psi = model.constrained_nuisance(psi, data)
         lp = core.profile_loglik(model, data, psi)
-        lm = core.modified_profile_loglik(model, data, (fit.psi_hat, lam_mle),
-                                          psi, "exact")
+        lm = core.modified_profile_loglik(model, data, (fit.psi_hat, lam_mle), psi)
         info = model.nuisance_obs_info(psi, lam_psi, data)
         assert lm - lp == pytest.approx(-0.5 * np.log(info).sum(), rel=1e-12)
 
     def test_logit_mcar_modification_is_half_log_j_plus_constant(self):
-        data, _ = binary.drop_noninformative(simulated_mcar())
+        data = informative_mcar()
         model = binary.BinaryMissingModel()
         fit = core.fit(model, data, "profile")
         lam_mle = model.constrained_nuisance(fit.psi_hat, data)
@@ -154,7 +162,7 @@ class TestModifiedProfile:
             psi = np.asarray(psi)
             lam = model.constrained_nuisance(psi, data)
             lp = core.profile_loglik(model, data, psi)
-            lm = core.modified_profile_loglik(model, data, mle, psi, "exact")
+            lm = core.modified_profile_loglik(model, data, mle, psi)
             half_log_j = 0.5 * np.log(model.nuisance_obs_info(psi, lam, data)).sum()
             return lm - lp - half_log_j
 
@@ -162,7 +170,7 @@ class TestModifiedProfile:
         assert parts([0.2]) == pytest.approx(parts([1.4]), abs=1e-9)
 
     def test_nonpositive_expectation_gives_minus_inf(self):
-        data, _ = binary.drop_noninformative(simulated_mcar())
+        data = informative_mcar()
         model = binary.BinaryMissingModel()
         fit = core.fit(model, data, "profile")
         lam_mle = model.constrained_nuisance(fit.psi_hat, data)
@@ -179,7 +187,7 @@ class TestModifiedProfile:
 
 class TestFit:
     def test_cluster_permutation_invariance(self):
-        data, _ = binary.drop_noninformative(simulated_mcar(n=40))
+        data = informative_mcar(n=40)
         model = binary.BinaryMissingModel()
         fit_a = core.fit(model, data, "profile")
         perm = np.arange(data.n_clusters)[::-1]
@@ -187,7 +195,7 @@ class TestFit:
         assert fit_a.psi_hat == pytest.approx(fit_b.psi_hat, abs=1e-7)
 
     def test_mcmpl_close_to_exact_at_large_r(self):
-        data, _ = binary.drop_noninformative(simulated_mcar(n=50, t=6))
+        data = informative_mcar(n=50, t=6)
         model = binary.BinaryMissingModel()
         mc = MonteCarloConfig(replicates=50_000, master_seed=31)
         exact = core.fit(model, data, "mpl-exact", mc)
@@ -216,6 +224,11 @@ class TestFit:
         data = ar1.make_panel_dataset(np.array([[0.5, 1.0, 0.3]]), [0.0])
         with pytest.raises(ValueError):
             core.fit(ar1.AR1PanelModel(), data, "mpl-exact")
+        mnar = binary.BinaryMissingModel(mechanism="mnar")
+        assert not mnar.has_exact_expectation()
+        assert binary.BinaryMissingModel(mechanism="mcar").has_exact_expectation()
+        with pytest.raises(ValueError):
+            core.fit(mnar, informative_mcar(n=20), "mpl-exact")
 
     def test_weibull_all_events_matches_grid_scan(self):
         # no covariates and no censoring: the profile objective is a scalar
@@ -234,7 +247,7 @@ class TestFit:
     def test_exact_expectation_constant_leaves_argmax(self):
         # the logit closed-form expectation is constant in the interest
         # parameter, so dropping its log from the objective cannot move the max
-        data, _ = binary.drop_noninformative(simulated_mcar(n=50, t=6, seed=8))
+        data = informative_mcar(n=50, t=6, seed=8)
         model = binary.BinaryMissingModel()
         fit_exact = core.fit(model, data, "mpl-exact")
         prof = core.fit(model, data, "profile")

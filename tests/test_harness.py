@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mcmpl import harness
+from mcmpl import harness, optim
 from mcmpl.core import substream
 from mcmpl.harness import (
     ExperimentSpec,
@@ -196,3 +196,30 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentSpec(model="ar1", n_clusters=5, t_periods=4, n_trials=2,
                            methods=("mcar:profile",), rho=0.5, sigma2=1.0, seed=0)
+
+    @pytest.mark.parametrize("spec_kwargs", [
+        dict(model="binary", mechanism="mcar", methods=("mnar:mpl-exact",)),
+        dict(model="binary", mechanism="mnar", methods=("mpl-exact",)),
+        dict(model="weibull", beta=(-1.0, 1.0), censoring_share=0.2,
+             methods=("mpl-exact",)),
+        dict(model="ar1", methods=("mpl-exact",)),
+    ])
+    def test_mpl_exact_without_closed_form_rejected(self, spec_kwargs):
+        base = dict(n_clusters=5, t_periods=4, n_trials=2, seed=0)
+        with pytest.raises(ValueError, match="mpl-exact"):
+            ExperimentSpec(**{**base, **spec_kwargs})
+
+    def test_numerical_failure_counts_as_failed_trial(self, monkeypatch):
+        calls = []
+        real_fit = harness.core.fit
+
+        def fail_first_call(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise optim.NonFiniteStartError("objective not finite at the start")
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(harness.core, "fit", fail_first_call)
+        result = run_experiment(binary_spec(n_trials=3), keep_trials=True)
+        assert result.trials[0].estimates["mcar:profile"] is None
+        assert [row.n_failed_trials for row in result.rows] == [1]

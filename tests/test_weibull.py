@@ -10,19 +10,34 @@ from mcmpl.weibull import (
     NoEventsError,
     NonPositiveShapeError,
     NonPositiveTimeError,
-    WeibullParams,
     WeibullSurvivalModel,
     calibrate_censoring_rate,
     conditional_bootstrap_censoring,
     constrained_nuisance_closed_form,
     km_censoring,
-    loglik,
     make_survival_dataset,
-    nuisance_obs_info,
-    nuisance_score,
     profile_loglik,
     relative_risk,
 )
+
+
+MODEL = WeibullSurvivalModel()
+
+
+def psi_of(shape, beta):
+    return np.concatenate([[shape], np.atleast_1d(np.asarray(beta, dtype=float))])
+
+
+def loglik(shape, beta, lam, data):
+    return float(MODEL.cluster_logliks(psi_of(shape, beta), lam, data).sum())
+
+
+def nuisance_score(shape, beta, lam, data):
+    return MODEL.nuisance_score(psi_of(shape, beta), lam, data)
+
+
+def nuisance_obs_info(shape, beta, lam, data):
+    return MODEL.nuisance_obs_info(psi_of(shape, beta), lam, data)
 
 
 def random_survival(rng, n=6, t=5, p=2, censor=0.3):
@@ -43,11 +58,11 @@ def random_survival(rng, n=6, t=5, p=2, censor=0.3):
 class TestLoglik:
     def test_unit_exponential_event(self):
         data = make_survival_dataset([[1.0]], [[1.0]], np.zeros((1, 1, 1)))
-        assert loglik(WeibullParams(1.0, [0.0], 0.0), data) == pytest.approx(-1.0)
+        assert loglik(1.0, [0.0], 0.0, data) == pytest.approx(-1.0)
 
     def test_unit_exponential_censored(self):
         data = make_survival_dataset([[1.0]], [[0.0]], np.zeros((1, 1, 1)))
-        assert loglik(WeibullParams(1.0, [0.0], 0.0), data) == pytest.approx(-1.0)
+        assert loglik(1.0, [0.0], 0.0, data) == pytest.approx(-1.0)
 
     def test_matches_density_survival_assembly(self):
         rng = np.random.default_rng(0)
@@ -60,13 +75,13 @@ class TestLoglik:
             logsurv = -(eta * y) ** shape
             d = data.indicators
             oracle = np.where(d == 1, logpdf, logsurv)[data.unit_mask].sum()
-            val = loglik(WeibullParams(shape, beta, lam), data)
+            val = loglik(shape, beta, lam, data)
             assert val == pytest.approx(oracle, abs=1e-10)
 
     def test_rejects_nonpositive_inputs(self):
         data = make_survival_dataset([[1.0]], [[1.0]], np.zeros((1, 1, 1)))
         with pytest.raises(NonPositiveShapeError):
-            weibull.cluster_logliks(0.0, np.array([0.0]), 0.0, data)
+            MODEL.cluster_logliks(np.array([0.0, 0.0]), np.zeros(1), data)
         with pytest.raises(NonPositiveTimeError):
             make_survival_dataset([[0.0]], [[1.0]], np.zeros((1, 1, 1)))
 
@@ -77,23 +92,23 @@ class TestNuisanceScore:
         for _ in range(6):
             data, shape, beta, _ = random_survival(rng)
             lam = constrained_nuisance_closed_form(shape, beta, data)
-            score = nuisance_score(WeibullParams(shape, beta, lam), data)
+            score = nuisance_score(shape, beta, lam, data)
             assert np.abs(score).max() <= 1e-9
 
     def test_hand_value(self):
         # shape=1, two events, sum(eta y) = 2 -> score 0
         data = make_survival_dataset([[1.0, 1.0]], [[1.0, 1.0]], np.zeros((1, 2, 1)))
-        assert nuisance_score(WeibullParams(1.0, [0.0], 0.0), data)[0] == pytest.approx(0.0)
+        assert nuisance_score(1.0, [0.0], 0.0, data)[0] == pytest.approx(0.0)
 
     def test_matches_numerical_gradient(self):
         rng = np.random.default_rng(2)
         data, shape, beta, lam = random_survival(rng, n=1)
 
         def ll(lam_val):
-            return loglik(WeibullParams(shape, beta, lam_val), data)
+            return loglik(shape, beta, lam_val, data)
 
         num = optim.numerical_gradient(ll, float(lam[0]))
-        ana = nuisance_score(WeibullParams(shape, beta, lam), data)[0]
+        ana = nuisance_score(shape, beta, lam, data)[0]
         assert abs(num - ana) <= 1e-6 * (1 + abs(ana))
 
 
@@ -119,7 +134,7 @@ class TestConstrainedNuisance:
                 cluster = data.cluster(i)
 
                 def g(v):
-                    return nuisance_score(WeibullParams(shape, beta, v), cluster)[0]
+                    return nuisance_score(shape, beta, v, cluster)[0]
 
                 root = find_root_scalar(g, ScalarBounds(lam[i] - 2.0, lam[i] + 2.0),
                                         optim.Tolerances(x_tol=1e-14))
@@ -137,7 +152,7 @@ class TestProfileLoglik:
         for _ in range(8):
             data, shape, beta, _ = random_survival(rng)
             lam = constrained_nuisance_closed_form(shape, beta, data)
-            plug_in = loglik(WeibullParams(shape, beta, lam), data)
+            plug_in = loglik(shape, beta, lam, data)
             assert profile_loglik(shape, beta, data) == pytest.approx(plug_in,
                                                                       abs=1e-10)
 
@@ -165,23 +180,23 @@ class TestNuisanceObsInfo:
         rng = np.random.default_rng(6)
         data, shape, beta, _ = random_survival(rng)
         lam = constrained_nuisance_closed_form(shape, beta, data)
-        info = nuisance_obs_info(WeibullParams(shape, beta, lam), data)
+        info = nuisance_obs_info(shape, beta, lam, data)
         d_tot = np.where(data.unit_mask, data.indicators, 0.0).sum(axis=1)
         assert info == pytest.approx(shape ** 2 * d_tot, rel=1e-10)
 
     def test_unit_value(self):
         data = make_survival_dataset([[1.0]], [[1.0]], np.zeros((1, 1, 1)))
-        assert nuisance_obs_info(WeibullParams(1.0, [0.0], 0.0), data)[0] == 1.0
+        assert nuisance_obs_info(1.0, [0.0], 0.0, data)[0] == 1.0
 
     def test_matches_second_difference(self):
         rng = np.random.default_rng(7)
         data, shape, beta, lam = random_survival(rng, n=1)
 
         def ll(v):
-            return loglik(WeibullParams(shape, beta, v), data)
+            return loglik(shape, beta, v, data)
 
         h = optim.numerical_hessian(ll, float(lam[0]))[0, 0]
-        ana = nuisance_obs_info(WeibullParams(shape, beta, lam), data)[0]
+        ana = nuisance_obs_info(shape, beta, lam, data)[0]
         assert abs(-h - ana) <= 1e-4 * (1 + abs(ana))
 
 
@@ -262,30 +277,27 @@ class TestConditionalBootstrap:
 class TestSimulateReplicate:
     def test_no_censoring_all_events(self):
         data = make_survival_dataset([[1.0, 2.0]], [[1.0, 1.0]], np.zeros((1, 2, 1)))
-        model = WeibullSurvivalModel()
-        rep = model.simulate_replicate(np.array([1.0, 0.0]), np.zeros(1), data,
-                                       substream(1, 0))
-        assert np.all(rep.indicators[rep.unit_mask] == 1.0)
+        bank = MODEL.build_replicates(np.array([1.0, 0.0]), np.zeros(1), data,
+                                      substream(1, 0), 1)
+        assert np.all(bank.event_sums == data.unit_mask.sum(axis=1))
 
     def test_exponential_mean(self):
         n = 100_000
         data = make_survival_dataset(np.ones((1, n)), np.ones((1, n)),
                                      np.zeros((1, n, 1)))
-        model = WeibullSurvivalModel()
-        rep = model.simulate_replicate(np.array([1.0, 0.0]), np.zeros(1), data,
-                                       substream(2, 0))
-        assert rep.responses.mean() == pytest.approx(1.0, abs=0.01)
+        bank = MODEL.build_replicates(np.array([1.0, 0.0]), np.zeros(1), data,
+                                      substream(2, 0), 1)
+        assert np.exp(bank.log_times).mean() == pytest.approx(1.0, abs=0.01)
 
     def test_preserves_structure(self):
         rng = np.random.default_rng(11)
         data, shape, beta, _ = random_survival(rng)
-        model = WeibullSurvivalModel()
         lam = constrained_nuisance_closed_form(shape, beta, data)
-        rep = model.simulate_replicate(np.concatenate([[shape], beta]), lam, data,
-                                       substream(3, 0))
-        assert np.array_equal(rep.covariates, data.covariates)
-        assert np.array_equal(rep.unit_mask, data.unit_mask)
-        assert rep.n_clusters == data.n_clusters
+        bank = MODEL.build_replicates(np.concatenate([[shape], beta]), lam, data,
+                                      substream(3, 0), 1)
+        assert bank.log_times.shape == (1,) + data.responses.shape
+        assert np.array_equal(bank.log_times[0] > weibull._PAD, data.unit_mask)
+        assert bank.scores_at_mle.shape == (1, data.n_clusters)
 
 
 class TestMcExpectation:
