@@ -2,8 +2,9 @@
 
 Everything profiles in closed form down to the autoregressive parameter:
 the intercepts are linear in it, the innovation variance has an explicit
-constrained estimate, and the modified objective is maximized by a
-bounded one-dimensional search.
+constrained estimate, and :meth:`AR1PanelModel.maximize` reduces both
+searches of :func:`core.fit` to a closed form and a bounded
+one-dimensional search.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from .core import ClusteredDataset, ClusteredModel, FitResult, MonteCarloConfig
 #: variance floor applied inside objectives so noiseless inputs stay finite
 SIGMA2_FLOOR = 1e-12
 
-#: default bounded search interval for the autoregressive parameter
-DEFAULT_BOUNDS = optim.ScalarBounds(-1.5, 1.5)
+#: interval and initialization grid of the bounded search in rho
+RHO_BOUNDS = optim.ScalarBounds(-1.5, 1.5)
+RHO_GRID = 64
 
 
 class DegenerateDesignError(ValueError):
@@ -96,6 +98,11 @@ def constrained_sigma2(rho, data: ClusteredDataset, divisor: str = "NT") -> floa
     return residual_ss(rho, data) / k
 
 
+def _with_sigma2(rho, data: ClusteredDataset, divisor: str) -> np.ndarray:
+    """(rho, sigma2) with sigma2 at its floored constrained estimate."""
+    return np.array([rho, max(constrained_sigma2(rho, data, divisor), SIGMA2_FLOOR)])
+
+
 @dataclass
 class _AR1ReplicateBank:
     resp_sums: np.ndarray      # (R, N) sum_t y_t
@@ -143,6 +150,23 @@ class AR1PanelModel(ClusteredModel):
     def constrained_nuisance(self, psi, data):
         return constrained_lambda(psi[0], data)
 
+    def maximize(self, objective, start, data, tol, modified):
+        """The profile maximizer is the closed-form within least-squares fit.
+        The modified objective is maximized in rho alone, the variance at
+        RSS/N(T-1), by a bounded search that hill-climbs from the ML rho: the
+        relevant maximizer is the local one near it, not the re-increasing
+        branch at large rho."""
+        if not modified:
+            psi = self.initial_psi(data)
+            return optim.OptimResult(argmax=psi, value=objective(psi),
+                                     converged=True, iterations=0)
+        res = optim.maximize_scalar_bounded(
+            lambda rho: objective(_with_sigma2(rho, data, "N(T-1)")), RHO_BOUNDS,
+            tol, init_grid=RHO_GRID, start=float(start[0]))
+        return optim.OptimResult(argmax=_with_sigma2(float(res.argmax), data, "N(T-1)"),
+                                 value=res.value, converged=res.converged,
+                                 iterations=res.iterations)
+
     def build_replicates(self, psi, lam, data, rng, n_replicates):
         """Synthetic panels from the fit, initial conditions unchanged; the
         bank keeps only the per-replicate response and lag sums."""
@@ -178,58 +202,23 @@ class AR1PanelModel(ClusteredModel):
 
 
 def fit_bounded(data: ClusteredDataset, mc: MonteCarloConfig | None = None,
-                bounds: optim.ScalarBounds = DEFAULT_BOUNDS,
-                method: str = "mcmpl", tol: optim.Tolerances | None = None,
-                init_grid: int = 64) -> FitResult:
-    """Fit by double profiling to a scalar objective in the AR parameter.
+                method: str = "mcmpl") -> FitResult:
+    """:func:`core.fit` of :class:`AR1PanelModel`."""
+    return core.fit(AR1PanelModel(), data, method, mc)
 
-    The variance is replaced by its explicit constrained estimate, the
-    remaining curve is maximized on a bounded interval, and standard
-    errors come from the two-by-two numerical Hessian of the joint
-    objective at the maximum.
-    """
-    if method not in ("profile", "mcmpl"):
-        raise ValueError(f"unknown method {method!r}")
-    tol = tol or optim.Tolerances()
-    mc = mc or MonteCarloConfig()
-    model = AR1PanelModel()
-    rho_ml, sigma2_ml, lam_ml = ols_fit(data)
-    sigma2_ml = max(sigma2_ml, SIGMA2_FLOOR)
 
-    if method == "profile":
-        rho_hat, sigma2_hat = rho_ml, sigma2_ml
-        iterations = 0
-        converged = True
-
-        def joint(psi):
-            return core.profile_loglik(model, data, psi)
-    else:
-        psi_mle = np.array([rho_ml, sigma2_ml])
-        bank = model.build_replicates(psi_mle, lam_ml, data,
-                                      mc.generator(0), mc.replicates)
-        fit_at_mle = (psi_mle, lam_ml)
-
-        def joint(psi):
-            return core.modified_profile_loglik(model, data, fit_at_mle, psi, bank)
-
-        def scalar_objective(rho):
-            s2 = max(constrained_sigma2(rho, data, "N(T-1)"), SIGMA2_FLOOR)
-            return joint(np.array([rho, s2]))
-
-        # hill-climb from the ML estimate: the relevant maximizer is the
-        # local one near it, not the re-increasing branch at large rho
-        res = optim.maximize_scalar_bounded(scalar_objective, bounds, tol,
-                                            init_grid=init_grid, start=rho_ml)
-        rho_hat = float(res.argmax)
-        sigma2_hat = max(constrained_sigma2(rho_hat, data, "N(T-1)"), SIGMA2_FLOOR)
-        iterations = res.iterations
-        converged = res.converged
-
-    psi_hat = np.array([rho_hat, sigma2_hat])
-    se, cov = core._standard_errors(joint, psi_hat)
-    return FitResult(psi_hat=psi_hat, std_errors=se,
-                     lambda_hat=constrained_lambda(rho_hat, data),
-                     max_value=float(joint(psi_hat)), method=method,
-                     converged=converged, dropped_clusters=0,
-                     param_names=("rho", "sigma2"), cov=cov,
-                     iterations=iterations)
+def trace_curves(model, data: ClusteredDataset, mc: MonteCarloConfig, param, grid):
+    """Profile and modified curves in rho, with the variance at its explicit
+    constrained estimate (RSS/NT and RSS/N(T-1)) at every grid point."""
+    if param != "rho":
+        raise ValueError("AR(1) traces support --param rho")
+    psi_mle = model.initial_psi(data)
+    lam_mle = model.constrained_nuisance(psi_mle, data)
+    bank = model.build_replicates(psi_mle, lam_mle, data, mc.generator(0),
+                                  mc.replicates)
+    lp, lm = [], []
+    for rho in grid:
+        lp.append(core.profile_loglik(model, data, _with_sigma2(rho, data, "NT")))
+        lm.append(core.modified_profile_loglik(
+            model, data, (psi_mle, lam_mle), _with_sigma2(rho, data, "N(T-1)"), bank))
+    return lp, lm

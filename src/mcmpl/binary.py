@@ -122,7 +122,7 @@ def get_link(link) -> Link:
 
 
 def _clamp(eta):
-    return np.clip(eta, -PREDICTOR_CLAMP, PREDICTOR_CLAMP)
+    return np.minimum(np.maximum(eta, -PREDICTOR_CLAMP), PREDICTOR_CLAMP)
 
 
 def _masks(data: ClusteredDataset):
@@ -134,6 +134,12 @@ def _masks(data: ClusteredDataset):
 def _eta(link, beta, lam, data):
     lam = np.asarray(lam, dtype=float)
     return _clamp(lam[:, None] + data.covariates @ beta)
+
+
+def _missing_probs(gamma1, gamma2, data):
+    """Missingness probabilities of every unit at y = 0 and at y = 1."""
+    u0 = _clamp(data.covariates @ gamma1)
+    return G.cdf(u0), G.cdf(_clamp(u0 + gamma2))
 
 
 # ---------------------------------------------------------------------------
@@ -158,31 +164,37 @@ def _loglik_terms(link, mechanism, beta, gamma1, gamma2, lam, data):
     return ll.sum(axis=1)
 
 
-def _score_info_terms(link, mechanism, beta, gamma1, gamma2, lam, data,
-                      want_info=True):
-    """Per-cluster nuisance score and observed information."""
+def _score_kernel(link, mechanism, beta, gamma1, gamma2, data):
+    """Per-cluster nuisance score and observed information as a function of
+    lam; whatever does not depend on lam is computed once."""
     obs, mis = _masks(data)
-    eta = _eta(link, beta, lam, data)
     y = np.where(obs, np.nan_to_num(data.responses), 0.0)
-    r_lo = link.mills_lower(eta)    # f/F
-    r_hi = link.mills_upper(eta)    # f/(1-F)
-    g = link.pdf_ratio(eta)         # f'/f
-    score = np.where(obs, y * r_lo - (1.0 - y) * r_hi, 0.0)
-    info = None
-    if want_info:
-        info = np.where(obs, y * r_lo * (r_lo - g) + (1.0 - y) * r_hi * (r_hi + g), 0.0)
+    xb = data.covariates @ beta
     if mechanism == "mnar":
-        s_mis = _missing_score_weight(link, beta, gamma1, gamma2, eta, data)
-        score = score + np.where(mis, s_mis, 0.0)
+        z0, z1 = _missing_probs(gamma1, gamma2, data)
+
+    def terms(lam, want_info=True):
+        eta = _clamp(np.asarray(lam, dtype=float)[:, None] + xb)
+        r_lo = link.mills_lower(eta)    # f/F
+        r_hi = link.mills_upper(eta)    # f/(1-F)
+        g = link.pdf_ratio(eta)         # f'/f
+        score = np.where(obs, y * r_lo - (1.0 - y) * r_hi, 0.0)
+        info = None
         if want_info:
-            info = info + np.where(mis, s_mis * (s_mis - g), 0.0)
-    return score.sum(axis=1), (info.sum(axis=1) if want_info else None)
+            info = np.where(obs, y * r_lo * (r_lo - g) + (1.0 - y) * r_hi * (r_hi + g),
+                            0.0)
+        if mechanism == "mnar":
+            s_mis = _missing_score_weight(link, eta, z0, z1)
+            score = score + np.where(mis, s_mis, 0.0)
+            if want_info:
+                info = info + np.where(mis, s_mis * (s_mis - g), 0.0)
+        return score.sum(axis=1), (info.sum(axis=1) if want_info else None)
+
+    return terms
 
 
-def _missing_score_weight(link, beta, gamma1, gamma2, eta, data):
+def _missing_score_weight(link, eta, z0, z1):
     """Per-unit score contribution of a missing response: f(z1-z0)/D."""
-    u0 = _clamp(data.covariates @ gamma1)
-    z0, z1 = G.cdf(u0), G.cdf(_clamp(u0 + gamma2))
     pi = link.cdf(eta)
     d = pi * z1 + (1.0 - pi) * z0
     return link.pdf(eta) * (z1 - z0) / np.maximum(d, 1e-300)
@@ -195,9 +207,9 @@ def _observed_counts(data):
     return n_obs, s_obs
 
 
-def _solve_constrained(link, mechanism, beta, gamma1, gamma2, data,
-                       score_tol=1e-11, max_iter=80):
-    """Per-cluster root of the nuisance score, safeguarded Newton/bisection.
+def _solve_constrained(terms, data, score_tol=1e-11, max_iter=80):
+    """Per-cluster root of the nuisance score ``terms`` (a :func:`_score_kernel`),
+    safeguarded Newton/bisection.
 
     Non-informative clusters get +/-inf (separation) or NaN (no observed
     units); informative ones always bracket a root because the observed
@@ -212,22 +224,17 @@ def _solve_constrained(link, mechanism, beta, gamma1, gamma2, data,
     if not active.any():
         return lam
 
-    def score_at(x):
-        s, _ = _score_info_terms(link, mechanism, beta, gamma1, gamma2, x, data,
-                                 want_info=False)
-        return s
-
     lo = np.full(n, -20.0)
     hi = np.full(n, 20.0)
     for _ in range(5):
-        bad_lo = active & (score_at(lo) <= 0.0)
-        bad_hi = active & (score_at(hi) >= 0.0)
+        bad_lo = active & (terms(lo, False)[0] <= 0.0)
+        bad_hi = active & (terms(hi, False)[0] >= 0.0)
         if not (bad_lo.any() or bad_hi.any()):
             break
         lo = np.where(bad_lo, 2.0 * lo, lo)
         hi = np.where(bad_hi, 2.0 * hi, hi)
     else:
-        still = active & ((score_at(lo) <= 0.0) | (score_at(hi) >= 0.0))
+        still = active & ((terms(lo, False)[0] <= 0.0) | (terms(hi, False)[0] >= 0.0))
         active = active & ~still  # leave NaN: cluster should have been dropped
 
     x = 0.5 * (lo + hi)
@@ -235,7 +242,7 @@ def _solve_constrained(link, mechanism, beta, gamma1, gamma2, data,
     for _ in range(max_iter):
         if not live.any():
             break
-        s, j = _score_info_terms(link, mechanism, beta, gamma1, gamma2, x, data)
+        s, j = terms(x)
         done = np.abs(s) <= score_tol
         live = live & ~done
         pos = s > 0.0
@@ -387,21 +394,18 @@ class BinaryMissingModel(ClusteredModel):
         beta, gamma1, gamma2 = self._split(psi, data.n_covariates)
         return _loglik_terms(self.link, self.mechanism, beta, gamma1, gamma2, lam, data)
 
+    def _kernel(self, psi, data):
+        return _score_kernel(self.link, self.mechanism,
+                             *self._split(psi, data.n_covariates), data)
+
     def nuisance_score(self, psi, lam, data):
-        beta, gamma1, gamma2 = self._split(psi, data.n_covariates)
-        s, _ = _score_info_terms(self.link, self.mechanism, beta, gamma1, gamma2,
-                                 lam, data, want_info=False)
-        return s
+        return self._kernel(psi, data)(lam, want_info=False)[0]
 
     def nuisance_obs_info(self, psi, lam, data):
-        beta, gamma1, gamma2 = self._split(psi, data.n_covariates)
-        _, j = _score_info_terms(self.link, self.mechanism, beta, gamma1, gamma2,
-                                 lam, data)
-        return j
+        return self._kernel(psi, data)(lam)[1]
 
     def constrained_nuisance(self, psi, data):
-        beta, gamma1, gamma2 = self._split(psi, data.n_covariates)
-        return _solve_constrained(self.link, self.mechanism, beta, gamma1, gamma2, data)
+        return _solve_constrained(self._kernel(psi, data), data)
 
     def has_exact_expectation(self):
         return self.mechanism == "mcar"
@@ -471,7 +475,8 @@ class BinaryMissingModel(ClusteredModel):
         scores = (np.einsum("rnt,nt->rn", bank.obs_y, w_obs)
                   - np.einsum("rnt,nt->rn", bank.obs, pi * w_obs))
         if self.mechanism == "mnar":
-            s_mis = _missing_score_weight(self.link, beta, gamma1, gamma2, eta, data)
+            s_mis = _missing_score_weight(self.link, eta,
+                                          *_missing_probs(gamma1, gamma2, data))
             scores = scores + np.einsum("rnt,nt->rn", bank.miss, s_mis)
         return scores
 

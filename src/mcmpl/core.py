@@ -236,6 +236,19 @@ class ClusteredModel(ABC):
         """Whether :meth:`exact_expectation` has a closed form for this instance."""
         return False
 
+    def maximize(self, objective, start, data, tol, modified: bool) -> optim.OptimResult:
+        """Maximize the profile (``modified`` False) or the modified objective
+        from ``start``; a model with closed-form structure may shortcut it."""
+        return optim.maximize_multivariate(objective, start, tol)
+
+    def bound_hits(self, psi) -> tuple[str, ...]:
+        """Warning flags for components of psi pinned at a search bound."""
+        return ()
+
+    def bound_components(self, data) -> tuple[int, ...]:
+        """Indices of psi that a bound hit leaves without a standard error."""
+        return ()
+
 
 def drop_noninformative(model: ClusteredModel, data: ClusteredDataset):
     """Remove clusters that cannot contribute to the interest parameter."""
@@ -293,33 +306,45 @@ def modified_profile_loglik(model, data, fit_at_mle, psi, bank=None) -> float:
     return lp + float(0.5 * np.log(info).sum() - np.log(expect).sum())
 
 
+def profile_stage(model: ClusteredModel, data: ClusteredDataset,
+                  tol: Tolerances | None = None, psi0=None):
+    """Drop non-informative clusters and maximize the profile likelihood:
+    ``(kept data, number dropped, search result)``."""
+    kept, dropped = drop_noninformative(model, data)
+    if kept.n_clusters == 0:
+        raise NoInformativeClustersError("all clusters are non-informative")
+    start = np.atleast_1d(np.asarray(
+        model.initial_psi(kept) if psi0 is None else psi0, dtype=float))
+    search = model.maximize(lambda psi: profile_loglik(model, kept, psi), start, kept,
+                            tol or optim.DEFAULT_MULTI_TOL, modified=False)
+    return kept, dropped, search
+
+
 def fit(model: ClusteredModel, data: ClusteredDataset, method: str = "mcmpl",
         mc: MonteCarloConfig | None = None, tol: Tolerances | None = None,
-        psi0=None) -> FitResult:
+        stage=None) -> FitResult:
     """Drop non-informative clusters and maximize the requested objective.
 
     The profile likelihood is always fitted first; its maximizer seeds the
     modified-likelihood search, whose correction is O(1) against the
-    O(NT) likelihood. Standard errors come from the numerical Hessian of
-    the maximized objective itself.
+    O(NT) likelihood. Both searches run through :meth:`ClusteredModel.maximize`.
+    Standard errors come from the numerical Hessian of the maximized
+    objective itself. ``stage``, a :func:`profile_stage` of the same model
+    and data, replaces the profile search with its start and tolerance.
     """
     if method not in FIT_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {FIT_METHODS}")
     if method == "mpl-exact" and not model.has_exact_expectation():
-        raise ValueError("model supplies no exact expectation; use mcmpl")
+        raise ValueError("mpl-exact has no closed form for this model and "
+                         "mechanism; use mcmpl")
     tol = tol or optim.DEFAULT_MULTI_TOL
     mc = mc or MonteCarloConfig()
 
-    kept, dropped = drop_noninformative(model, data)
-    if kept.n_clusters == 0:
-        raise NoInformativeClustersError("all clusters are non-informative")
+    kept, dropped, prof = stage or profile_stage(model, data, tol)
 
     def lp(psi):
         return profile_loglik(model, kept, psi)
 
-    start = np.atleast_1d(np.asarray(
-        model.initial_psi(kept) if psi0 is None else psi0, dtype=float))
-    prof = optim.maximize_multivariate(lp, start, tol)
     warnings_: list[str] = []
 
     if method == "profile":
@@ -335,17 +360,17 @@ def fit(model: ClusteredModel, data: ClusteredDataset, method: str = "mcmpl",
 
         def objective(psi):
             return modified_profile_loglik(model, kept, fit_at_mle, psi, bank)
-        opt = optim.maximize_multivariate(objective, psi_mle, tol)
+        opt = model.maximize(objective, psi_mle, kept, tol, modified=True)
         if not prof.converged:
             warnings_.append("profile_stage_not_converged")
 
     psi_hat = np.atleast_1d(np.asarray(opt.argmax, dtype=float))
     names = model.param_names(kept)
-    bound_hits = getattr(model, "bound_hits", lambda psi: ())(psi_hat)
+    bound_hits = model.bound_hits(psi_hat)
     warnings_.extend(bound_hits)
 
-    se, cov = _standard_errors(objective, psi_hat, frozen=bound_hits and
-                               getattr(model, "bound_components", lambda d: ())(kept))
+    se, cov = _standard_errors(objective, psi_hat,
+                               frozen=bound_hits and model.bound_components(kept))
     if np.any(~np.isfinite(se)) and not bound_hits:
         warnings_.append("hessian_not_negative_definite")
 
@@ -396,3 +421,53 @@ def wald_interval(fit_result: FitResult, component: int, level: float = 0.95) ->
     z = norm.ppf(0.5 * (1.0 + level))
     est = float(fit_result.psi_hat[component])
     return WaldInterval(lo=est - z * se, hi=est + z * se, level=level)
+
+
+def trace_curves(model: ClusteredModel, data: ClusteredDataset, mc: MonteCarloConfig,
+                 param: str, grid):
+    """Curves in one interest component, maximizing over the others."""
+    kept, _ = drop_noninformative(model, data)
+    if kept.n_clusters == 0:
+        raise NoInformativeClustersError("no informative clusters")
+    names = model.param_names(kept)
+    if param not in names:
+        raise ValueError(f"unknown parameter {param!r}; choices: {', '.join(names)}")
+    k = names.index(param)
+    prof = fit(model, kept, "profile", mc)
+    fit_at_mle = (prof.psi_hat, prof.lambda_hat)
+    bank = model.build_replicates(*fit_at_mle, kept, mc.generator(0), mc.replicates)
+    free = [j for j in range(len(names)) if j != k]
+
+    def embed(value, rest):
+        psi = np.empty(len(names))
+        psi[k] = value
+        psi[free] = rest
+        return psi
+
+    def maximize_rest(objective, value, rest):
+        """Maximum over the other components at ``value``; the objective at
+        ``rest`` itself where the search cannot start."""
+        if free:
+            try:
+                res = optim.maximize_multivariate(
+                    lambda r: objective(embed(value, r)), rest,
+                    optim.Tolerances(max_iters=500))
+                return res.value, np.asarray(res.argmax, dtype=float)
+            except optim.NonFiniteStartError:
+                pass
+        return objective(embed(value, rest)), rest
+
+    def lp(psi):
+        return profile_loglik(model, kept, psi)
+
+    def lm(psi):
+        return modified_profile_loglik(model, kept, fit_at_mle, psi, bank)
+
+    lp_curve, lm_curve = [], []
+    rest_p = rest_m = prof.psi_hat[free]
+    for value in grid:
+        val_p, rest_p = maximize_rest(lp, value, rest_p)
+        val_m, rest_m = maximize_rest(lm, value, rest_m)
+        lp_curve.append(val_p)
+        lm_curve.append(val_m)
+    return lp_curve, lm_curve

@@ -1,4 +1,5 @@
-"""Deterministic data generators, the trial loop, and table metrics.
+"""The model-family table, deterministic data generators, the trial loop,
+and table metrics.
 
 Every simulation setup studied here is reproducible from an experiment
 spec and a master seed: trial ``s`` draws from the Philox substream keyed
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy.special import expit
@@ -28,8 +30,14 @@ class OddClusterSizeError(ValueError):
     """The survival design needs an even number of periods per cluster."""
 
 
-VALID_MODELS = ("binary", "weibull", "ar1")
 VALID_LAMBDA_GENERATORS = ("normal", "covariate-correlated")
+
+#: numerical failures of one data draw or fit; the trial is recorded as
+#: failed, the study goes on
+NUMERICAL_FAILURES = (core.NoInformativeClustersError, optim.NoFinitePointError,
+                      optim.NonFiniteStartError, binary.ProbabilityUnderflowError,
+                      weibull.NoEventsError, weibull.NoSolutionInBracketError,
+                      ar1.DegenerateDesignError)
 
 
 @dataclass(frozen=True)
@@ -56,60 +64,41 @@ class ExperimentSpec:
     level: float = 0.95
 
     def __post_init__(self):
-        if self.model not in VALID_MODELS:
+        if self.model not in FAMILIES:
             raise ValueError(f"unknown model {self.model!r}")
         if min(self.n_clusters, self.t_periods, self.n_trials, self.replicates) < 1:
             raise ValueError("design counts must be >= 1")
         if self.lambda_generator not in VALID_LAMBDA_GENERATORS:
             raise ValueError(f"unknown lambda generator {self.lambda_generator!r}")
-        if self.model == "weibull":
-            if self.censoring_share is None or not 0.0 < self.censoring_share < 1.0:
-                raise ValueError("weibull experiments need censoring_share in (0, 1)")
-            if self.t_periods % 2:
-                raise OddClusterSizeError("t_periods must be even for the "
-                                          "half-and-half covariate design")
-            if len(self.beta) != 2:
-                raise ValueError("the survival design has two covariates; "
-                                 "beta needs two components")
-        if self.model == "binary" and (len(self.beta) != 1 or len(self.gamma1) != 1):
-            raise ValueError("the binary design has one covariate; beta and "
-                             "gamma1 need one component each")
+        FAMILIES[self.model].check_spec(self)
         if not self.methods:
             raise ValueError("at least one method is required")
         for m in self.methods:
             model, name = _analysis_model(self, m)
             if name == "mpl-exact" and not model.has_exact_expectation():
-                raise ValueError(f"method {m!r}: mpl-exact has a closed form for "
-                                 "the MCAR binary model only")
+                raise ValueError(f"method {m!r}: mpl-exact has no closed form for "
+                                 "this model and mechanism")
 
 
-def _parse_method(model: str, method: str):
-    """Split an optional analysis-mechanism prefix off a binary method tag."""
+def _parse_method(kind: str, method: str):
+    """Split an optional analysis-mechanism prefix off a method tag."""
     mechanism = None
     name = method
     if ":" in method:
-        prefix, name = method.split(":", 1)
-        if model != "binary":
-            raise ValueError(f"method prefix only applies to binary: {method!r}")
-        if prefix not in ("mcar", "mnar"):
-            raise ValueError(f"unknown mechanism prefix in {method!r}")
-        mechanism = prefix
+        mechanism, name = method.split(":", 1)
+        choices = FAMILIES[kind].mechanisms
+        if mechanism not in choices:
+            raise ValueError(f"unknown mechanism prefix in {method!r}; the {kind} "
+                             f"model takes {', '.join(choices) or 'none'}")
     if name not in core.FIT_METHODS:
         raise ValueError(f"unknown method {name!r}")
     return mechanism, name
 
 
-def make_model(kind: str, link: str = "logit", mechanism: str = "mcar"):
-    """The engine model of one family; link and mechanism apply to binary."""
-    if kind == "binary":
-        return binary.BinaryMissingModel(link=link, mechanism=mechanism)
-    return weibull.WeibullSurvivalModel() if kind == "weibull" else ar1.AR1PanelModel()
-
-
 def _analysis_model(spec, method: str):
     """The model a method tag fits, and the bare method name."""
     mechanism, name = _parse_method(spec.model, method)
-    return make_model(spec.model, spec.link, mechanism or spec.mechanism), name
+    return FAMILIES[spec.model].model(spec.link, mechanism or spec.mechanism), name
 
 
 @dataclass
@@ -158,16 +147,12 @@ def generate_binary_dataset(spec: ExperimentSpec, rng) -> tuple[ClusteredDataset
     zeta = expit(np.asarray(spec.gamma1)[0] * x + spec.gamma2 * y)
     miss = (rng.random((n, t)) < zeta).astype(float)
     data = binary.make_binary_dataset(np.where(miss == 1.0, np.nan, y), x, miss)
-    truth = {"beta1": beta[0], "gamma1_1": float(np.asarray(spec.gamma1)[0]),
-             "gamma2": spec.gamma2}
-    return data, truth
+    return data, _binary_truth(spec)
 
 
 def generate_survival_dataset(spec: ExperimentSpec, rng) -> tuple[ClusteredDataset, dict]:
     """Censored Weibull draws with the rate calibrated to the target share."""
     n, t = spec.n_clusters, spec.t_periods
-    if t % 2:
-        raise OddClusterSizeError("cluster size must be even")
     x1 = np.zeros((n, t))
     x1[:, t // 2:] = 1.0
     x2 = rng.standard_normal((n, t))
@@ -183,11 +168,7 @@ def generate_survival_dataset(spec: ExperimentSpec, rng) -> tuple[ClusteredDatas
     times = np.minimum(fail, cens)
     events = (fail <= cens).astype(float)
     data = weibull.make_survival_dataset(times, events, covariates)
-    truth = {"xi": spec.xi, "beta1": beta[0], "beta2": beta[1],
-             "rr1": weibull.relative_risk(spec.xi, beta[0]),
-             "rr2": weibull.relative_risk(spec.xi, beta[1]),
-             "censoring_rate": rate}
-    return data, truth
+    return data, {**_survival_truth(spec), "censoring_rate": rate}
 
 
 def generate_ar1_dataset(spec: ExperimentSpec, rng) -> tuple[ClusteredDataset, dict]:
@@ -202,16 +183,122 @@ def generate_ar1_dataset(spec: ExperimentSpec, rng) -> tuple[ClusteredDataset, d
         prev = lam + spec.rho * prev + sigma * eps[:, k]
         y[:, k] = prev
     data = ar1.make_panel_dataset(y, np.zeros(n))
-    return data, {"rho": spec.rho, "sigma2": spec.sigma2}
-
-
-_GENERATORS = {"binary": generate_binary_dataset,
-               "weibull": generate_survival_dataset,
-               "ar1": generate_ar1_dataset}
+    return data, _panel_truth(spec)
 
 
 def generate_dataset(spec: ExperimentSpec, rng):
-    return _GENERATORS[spec.model](spec, rng)
+    return FAMILIES[spec.model].generate(spec, rng)
+
+
+# ---------------------------------------------------------------------------
+# the model families
+# ---------------------------------------------------------------------------
+
+def _check_binary_spec(spec):
+    if len(spec.beta) != 1 or len(spec.gamma1) != 1:
+        raise ValueError("the binary design has one covariate; beta and "
+                         "gamma1 need one component each")
+
+
+def _check_survival_spec(spec):
+    if spec.censoring_share is None or not 0.0 < spec.censoring_share < 1.0:
+        raise ValueError("weibull experiments need censoring_share in (0, 1)")
+    if spec.t_periods % 2:
+        raise OddClusterSizeError("t_periods must be even for the "
+                                  "half-and-half covariate design")
+    if len(spec.beta) != 2:
+        raise ValueError("the survival design has two covariates; "
+                         "beta needs two components")
+
+
+def _binary_truth(spec):
+    return {"beta1": float(spec.beta[0]), "gamma1_1": float(spec.gamma1[0]),
+            "gamma2": spec.gamma2}
+
+
+def _survival_truth(spec):
+    beta = np.asarray(spec.beta, dtype=float)
+    return {"xi": spec.xi, "beta1": beta[0], "beta2": beta[1],
+            "rr1": weibull.relative_risk(spec.xi, beta[0]),
+            "rr2": weibull.relative_risk(spec.xi, beta[1])}
+
+
+def _panel_truth(spec):
+    return {"rho": spec.rho, "sigma2": spec.sigma2}
+
+
+def _binary_row(y, missing):
+    if missing not in (0.0, 1.0):
+        raise ValueError("missing must be 0/1")
+    if missing == 1.0 and not np.isnan(y):
+        raise ValueError("missing=1 rows must leave y empty")
+    if missing == 0.0 and y not in (0.0, 1.0):
+        raise ValueError("observed y must be 0/1")
+    return y, missing
+
+
+def _survival_row(time, event):
+    if not time > 0.0:
+        raise ValueError("time must be positive")
+    if event not in (0.0, 1.0):
+        raise ValueError("event must be 0/1")
+    return time, event
+
+
+def _check_panel(data):
+    if len(set(data.cluster_sizes)) != 1:
+        raise ValueError("AR(1) clusters must share a common length")
+    if data.responses.shape[1] < 2:
+        raise ValueError("AR(1) needs at least two periods per cluster")
+
+
+def _relative_risks(fit):
+    """Delta-method relative risks rr1..rrp of a survival fit."""
+    return [(f"rr{j + 1}", *weibull.relative_risk_with_se(fit, j))
+            for j in range(fit.psi_hat.size - 1)]
+
+
+@dataclass(frozen=True)
+class Family:
+    """What the harness, the CLI and the dataset files know of one model family.
+
+    A dataset file has the columns ``cluster``, ``t``, then ``columns``, then
+    the covariates ``x1..xp``; ``read_row`` checks one row's ``columns``
+    values (ValueError) and returns its response and indicator.
+    """
+
+    model: Callable                # (link, mechanism) -> ClusteredModel
+    generate: Callable             # (spec, rng) -> (dataset, truth)
+    truth: Callable                # spec -> {parameter: true value}
+    columns: tuple[str, ...]
+    read_row: Callable
+    check_spec: Callable = lambda spec: None  # ValueError: design it cannot simulate
+    check_data: Callable = lambda data: None  # ValueError: parsed file it cannot fit
+    derived: Callable = lambda fit: []        # fit -> extra (name, estimate, se) rows
+    trace: Callable = core.trace_curves       # (model, data, mc, param, grid) -> curves
+    nullable: tuple[str, ...] = ()            # file columns that may be left empty
+    initial_row: bool = False                 # a t=0 row holds the initial condition
+    mechanisms: tuple[str, ...] = ()          # method-tag prefixes: analysis mechanism
+    retry: Callable = lambda model: False     # refit a failed fit from a perturbed start
+
+
+FAMILIES = {
+    "binary": Family(
+        model=binary.BinaryMissingModel, generate=generate_binary_dataset,
+        truth=_binary_truth, columns=("y", "missing"), read_row=_binary_row,
+        check_spec=_check_binary_spec, nullable=("y",), mechanisms=("mcar", "mnar"),
+        retry=lambda model: model.mechanism == "mnar"),
+    "weibull": Family(
+        model=lambda link, mechanism: weibull.WeibullSurvivalModel(),
+        generate=generate_survival_dataset, truth=_survival_truth,
+        columns=("time", "event"), read_row=_survival_row,
+        check_spec=_check_survival_spec, derived=_relative_risks),
+    "ar1": Family(
+        model=lambda link, mechanism: ar1.AR1PanelModel(),
+        generate=generate_ar1_dataset, truth=_panel_truth, columns=("y",),
+        read_row=lambda y: (y, 0.0), check_data=_check_panel,
+        trace=ar1.trace_curves, initial_row=True),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -272,17 +359,21 @@ def _mc_for(spec: ExperimentSpec, trial: int, k: int) -> MonteCarloConfig:
     return MonteCarloConfig(replicates=spec.replicates, master_seed=int(child))
 
 
-def _run_method(spec, method, data, mc, rng_retry):
-    """Fit one method; a failed selection-model fit is retried once from a
-    perturbed start before the trial is flagged."""
+def _run_method(spec, method, data, mc, rng_retry, stages):
+    """Fit one method; a failed fit of a family that asks for it (the MNAR
+    selection model) is retried once from a perturbed start before the
+    trial is flagged. Methods with the same mechanism prefix fit the same
+    model and share its profile stage through ``stages``."""
     model, name = _analysis_model(spec, method)
-    if spec.model == "ar1":
-        return ar1.fit_bounded(data, mc, method=name)
-    fit = core.fit(model, data, name, mc)
-    if spec.model == "binary" and _failed(fit) and model.mechanism == "mnar":
+    prefix = method.rpartition(":")[0]
+    if prefix not in stages:
+        stages[prefix] = core.profile_stage(model, data)
+    fit = core.fit(model, data, name, mc, stage=stages[prefix])
+    if _failed(fit) and FAMILIES[spec.model].retry(model):
         psi0 = model.initial_psi(data)
         psi0 = psi0 + 0.25 * rng_retry.standard_normal(psi0.size)
-        fit = core.fit(model, data, name, mc, psi0=psi0)
+        stage = core.profile_stage(model, data, psi0=psi0)
+        fit = core.fit(model, data, name, mc, stage=stage)
     return fit
 
 
@@ -292,51 +383,32 @@ def _failed(fit) -> bool:
     return bool(np.any(~np.isfinite(fit.std_errors)))
 
 
-def _collect(spec, method, fit):
-    """Map a fit to {parameter: (estimate, se)}, adding derived risks."""
+def _collect(spec, fit):
+    """Map a fit to {parameter: (estimate, se)}, adding derived rows."""
     out = {name: (float(e), float(s))
            for name, e, s in zip(fit.param_names, fit.psi_hat, fit.std_errors)}
-    if spec.model == "weibull":
-        for j, name in enumerate(("rr1", "rr2")):
-            if j < len(fit.param_names) - 1:
-                out[name] = weibull.relative_risk_with_se(fit, j)
+    out.update((name, (est, se)) for name, est, se in FAMILIES[spec.model].derived(fit))
     return out
 
 
-#: numerical failures of one fit; the trial is recorded as failed, the study
-#: goes on
-_TRIAL_FAILURES = (core.NoInformativeClustersError, optim.NoFinitePointError,
-                   optim.NonFiniteStartError, binary.ProbabilityUnderflowError,
-                   weibull.NoEventsError, ar1.DegenerateDesignError)
-
-
 def run_trial(spec: ExperimentSpec, trial: int) -> TrialOutcome:
-    data, _ = generate_dataset(spec, substream(spec.seed, trial, 0))
     outcome = TrialOutcome()
+    try:
+        data, _ = generate_dataset(spec, substream(spec.seed, trial, 0))
+    except NUMERICAL_FAILURES:
+        outcome.estimates = dict.fromkeys(spec.methods)
+        return outcome
+    stages = {}
     for k, method in enumerate(spec.methods):
         mc = _mc_for(spec, trial, k)
         try:
             fit = _run_method(spec, method, data, mc,
-                              substream(spec.seed, trial, 100 + k))
-        except _TRIAL_FAILURES:
+                              substream(spec.seed, trial, 100 + k), stages)
+        except NUMERICAL_FAILURES:
             outcome.estimates[method] = None
             continue
-        outcome.estimates[method] = None if _failed(fit) else _collect(spec, method, fit)
+        outcome.estimates[method] = None if _failed(fit) else _collect(spec, fit)
     return outcome
-
-
-def truth_values(spec: ExperimentSpec) -> dict:
-    """True parameter values implied by the spec (keyed like fit output)."""
-    if spec.model == "ar1":
-        return {"rho": spec.rho, "sigma2": spec.sigma2}
-    if spec.model == "weibull":
-        beta = np.asarray(spec.beta, dtype=float)
-        return {"xi": spec.xi, "beta1": beta[0], "beta2": beta[1],
-                "rr1": weibull.relative_risk(spec.xi, beta[0]),
-                "rr2": weibull.relative_risk(spec.xi, beta[1])}
-    return {"beta1": float(np.asarray(spec.beta)[0]),
-            "gamma1_1": float(np.asarray(spec.gamma1)[0]),
-            "gamma2": spec.gamma2}
 
 
 def run_experiment(spec: ExperimentSpec, threads: int = 1,
@@ -347,13 +419,11 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1,
     excluded from the metrics and counted per method. Aggregation follows
     trial order, so the output is byte-identical for any ``threads``.
     """
-    truth = truth_values(spec)
+    truth = FAMILIES[spec.model].truth(spec)
     indices = range(spec.n_trials)
     if threads > 1 and spec.n_trials > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_trial_worker,
-                                     ((spec, s) for s in indices),
-                                     chunksize=max(1, spec.n_trials // (4 * threads))))
+            outcomes = list(pool.map(run_trial, [spec] * spec.n_trials, indices))
     else:
         outcomes = [run_trial(spec, s) for s in indices]
 
@@ -372,8 +442,3 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1,
                                         spec.level, method, parameter, n_failed))
     return ExperimentResult(spec=spec, rows=rows,
                             trials=outcomes if keep_trials else None)
-
-
-def _trial_worker(args):
-    spec, s = args
-    return run_trial(spec, s)

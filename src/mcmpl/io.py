@@ -13,7 +13,7 @@ import numpy as np
 from scipy.stats import norm
 
 from . import core
-from .harness import ExperimentSpec
+from .harness import FAMILIES, ExperimentSpec
 
 
 class DataFileError(ValueError):
@@ -40,21 +40,15 @@ def _fmt(x) -> str:
 # dataset files
 # ---------------------------------------------------------------------------
 
-_REQUIRED_COLUMNS = {
-    "binary": ("cluster", "t", "y", "missing"),
-    "weibull": ("cluster", "t", "time", "event"),
-    "ar1": ("cluster", "t", "y"),
-}
-
-
 def read_dataset(path, model: str) -> core.ClusteredDataset:
     """Parse a dataset file for the given model family.
 
     Covariate columns are x1..xp in order; clusters may appear in any row
     order but must be complete. Errors carry the offending line number.
     """
-    if model not in _REQUIRED_COLUMNS:
+    if model not in FAMILIES:
         raise DataFileError(f"unknown model {model!r}")
+    family = FAMILIES[model]
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -62,7 +56,7 @@ def read_dataset(path, model: str) -> core.ClusteredDataset:
         except StopIteration:
             raise DataFileError("empty file", line=1) from None
         cols = [c.strip().lower() for c in header]
-        for required in _REQUIRED_COLUMNS[model]:
+        for required in ("cluster", "t") + family.columns:
             if required not in cols:
                 raise DataFileError(f"missing required column {required!r}", line=1)
         x_names = sorted((c for c in cols if c.startswith("x") and c[1:].isdigit()),
@@ -104,14 +98,14 @@ def read_dataset(path, model: str) -> core.ClusteredDataset:
             if name in ("cluster", "t"):
                 continue
             record[name] = parse_float(row[idx[name]], lineno, name,
-                                       allow_empty=(model == "binary" and name == "y"))
+                                       allow_empty=name in family.nullable)
         clusters.setdefault(label, []).append(record)
 
     labels = tuple(clusters)
-    return _assemble(model, labels, clusters, x_names)
+    return _assemble(family, labels, clusters, x_names)
 
 
-def _assemble(model, labels, clusters, x_names):
+def _assemble(family, labels, clusters, x_names):
     p = len(x_names)
     sizes = []
     for label in labels:
@@ -120,22 +114,22 @@ def _assemble(model, labels, clusters, x_names):
         if len(set(seen)) != len(seen):
             raise DataFileError(f"duplicate t in cluster {label!r}", line=recs[0]["line"])
         clusters[label] = recs
-        sizes.append(len(recs) - (1 if model == "ar1" else 0))
+        sizes.append(len(recs) - int(family.initial_row))
     t_max = max(sizes)
     n = len(labels)
     resp = np.full((n, t_max), np.nan)
     ind = np.zeros((n, t_max))
     mask = np.zeros((n, t_max), dtype=bool)
     covs = np.zeros((n, t_max, p))
-    init = np.zeros(n) if model == "ar1" else None
+    init = np.zeros(n) if family.initial_row else None
 
     for i, label in enumerate(labels):
         recs = clusters[label]
-        if model == "ar1":
+        if family.initial_row:
             if recs[0]["t"] != 0:
                 raise DataFileError(f"cluster {label!r} lacks the t=0 initial row",
                                     line=recs[0]["line"])
-            init[i] = recs[0]["y"]
+            init[i] = recs[0][family.columns[0]]
             recs = recs[1:]
             if not recs:
                 raise DataFileError(f"cluster {label!r} has no periods after t=0",
@@ -144,74 +138,44 @@ def _assemble(model, labels, clusters, x_names):
             mask[i, k] = True
             for j, name in enumerate(x_names):
                 covs[i, k, j] = rec[name]
-            if model == "binary":
-                missing = rec["missing"]
-                if missing not in (0.0, 1.0):
-                    raise DataFileError("missing must be 0/1", line=rec["line"])
-                ind[i, k] = missing
-                y = rec["y"]
-                if missing == 1.0 and not np.isnan(y):
-                    raise DataFileError("missing=1 rows must leave y empty",
-                                        line=rec["line"])
-                if missing == 0.0:
-                    if np.isnan(y) or y not in (0.0, 1.0):
-                        raise DataFileError("observed y must be 0/1", line=rec["line"])
-                    resp[i, k] = y
-            elif model == "weibull":
-                if not rec["time"] > 0.0:
-                    raise DataFileError("time must be positive", line=rec["line"])
-                if rec["event"] not in (0.0, 1.0):
-                    raise DataFileError("event must be 0/1", line=rec["line"])
-                resp[i, k] = rec["time"]
-                ind[i, k] = rec["event"]
-            else:
-                resp[i, k] = rec["y"]
+            try:
+                resp[i, k], ind[i, k] = family.read_row(*(rec[c] for c in family.columns))
+            except ValueError as exc:
+                raise DataFileError(str(exc), line=rec["line"]) from None
 
-    if model == "ar1":
-        if len(set(mask.sum(axis=1))) != 1:
-            raise DataFileError("AR(1) clusters must share a common length")
-        if t_max < 2:
-            raise DataFileError("AR(1) needs at least two periods per cluster")
-    return core.ClusteredDataset(responses=resp, covariates=covs, indicators=ind,
+    data = core.ClusteredDataset(responses=resp, covariates=covs, indicators=ind,
                                  unit_mask=mask, initial_conditions=init,
                                  cluster_labels=labels)
+    try:
+        family.check_data(data)
+    except ValueError as exc:
+        raise DataFileError(str(exc)) from None
+    return data
 
 
 def write_dataset(data: core.ClusteredDataset, model: str, path) -> None:
     """Inverse of :func:`read_dataset`, used by exports and round-trip tests."""
-    p = data.n_covariates
-    x_names = [f"x{j + 1}" for j in range(p)]
-    if model == "binary":
-        header = ["cluster", "t", "y", "missing"] + x_names
-    elif model == "weibull":
-        header = ["cluster", "t", "time", "event"] + x_names
-    elif model == "ar1":
-        header = ["cluster", "t", "y"] + x_names
-    else:
+    if model not in FAMILIES:
         raise ValueError(f"unknown model {model!r}")
+    family = FAMILIES[model]
+    x_names = [f"x{j + 1}" for j in range(data.n_covariates)]
     labels = (data.cluster_labels
               or tuple(str(i + 1) for i in range(data.n_clusters)))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(["cluster", "t", *family.columns, *x_names])
         for i, label in enumerate(labels):
-            if model == "ar1":
+            if family.initial_row:
                 writer.writerow([label, 0, _fmt(float(data.initial_conditions[i]))])
             t_out = 0
             for k in range(data.responses.shape[1]):
                 if not data.unit_mask[i, k]:
                     continue
                 t_out += 1
-                xs = [_fmt(float(v)) for v in data.covariates[i, k]]
-                if model == "binary":
-                    y = data.responses[i, k]
-                    writer.writerow([label, t_out, "" if np.isnan(y) else _fmt(float(y)),
-                                     _fmt(float(data.indicators[i, k]))] + xs)
-                elif model == "weibull":
-                    writer.writerow([label, t_out, _fmt(float(data.responses[i, k])),
-                                     _fmt(float(data.indicators[i, k]))] + xs)
-                else:
-                    writer.writerow([label, t_out, _fmt(float(data.responses[i, k]))] + xs)
+                values = (data.responses[i, k], data.indicators[i, k])
+                writer.writerow([label, t_out]
+                                + [_fmt(float(v)) for v in values[:len(family.columns)]]
+                                + [_fmt(float(v)) for v in data.covariates[i, k]])
 
 
 # ---------------------------------------------------------------------------

@@ -253,6 +253,17 @@ def make_survival_dataset(times, events, covariates, unit_mask=None,
     return data
 
 
+def _pow_sums(psi, lam, data):
+    """Per-cluster sum over units of (eta y)^shape."""
+    beta = np.atleast_1d(np.asarray(psi[1:], dtype=float))
+    lam = np.broadcast_to(np.atleast_1d(np.asarray(lam, float)), (data.n_clusters,))
+    log_eta_y = np.where(data.unit_mask,
+                         np.log(data.responses) - (lam[:, None] + data.covariates @ beta),
+                         _PAD)
+    with np.errstate(over="ignore"):
+        return np.exp(psi[0] * log_eta_y).sum(axis=1)
+
+
 @dataclass
 class _WeibullReplicateBank:
     log_times: np.ndarray      # (R, N, T), padded to _PAD
@@ -298,37 +309,18 @@ class WeibullSurvivalModel(ClusteredModel):
 
     def nuisance_score(self, psi, lam, data):
         """Per-cluster intercept score: -shape * events + shape * sum (eta y)^shape."""
-        shape, beta = psi[0], np.atleast_1d(np.asarray(psi[1:], dtype=float))
-        lam = np.broadcast_to(np.atleast_1d(np.asarray(lam, float)),
-                              (data.n_clusters,))
         delta = np.where(data.unit_mask, data.indicators, 0.0)
-        log_eta_y = np.where(data.unit_mask,
-                             np.log(data.responses) - (lam[:, None]
-                                                       + data.covariates @ beta),
-                             _PAD)
-        with np.errstate(over="ignore"):
-            pow_sum = np.exp(shape * log_eta_y).sum(axis=1)
-        return shape * (pow_sum - delta.sum(axis=1))
+        return psi[0] * (_pow_sums(psi, lam, data) - delta.sum(axis=1))
 
     def nuisance_obs_info(self, psi, lam, data):
         """Per-cluster observed information: shape^2 * sum (eta y)^shape."""
-        shape, beta = psi[0], np.atleast_1d(np.asarray(psi[1:], dtype=float))
-        lam = np.broadcast_to(np.atleast_1d(np.asarray(lam, float)),
-                              (data.n_clusters,))
-        log_eta_y = np.where(data.unit_mask,
-                             np.log(data.responses) - (lam[:, None]
-                                                       + data.covariates @ beta),
-                             _PAD)
-        with np.errstate(over="ignore"):
-            pow_sum = np.exp(shape * log_eta_y).sum(axis=1)
-        return shape ** 2 * pow_sum
+        return psi[0] ** 2 * _pow_sums(psi, lam, data)
 
     def constrained_nuisance(self, psi, data):
-        d_tot = np.where(data.unit_mask, data.indicators, 0.0).sum(axis=1)
-        out = np.full(data.n_clusters, np.inf)
-        if np.all(d_tot >= 1.0):
+        ok = np.where(data.unit_mask, data.indicators, 0.0).sum(axis=1) >= 1.0
+        if ok.all():
             return constrained_nuisance_closed_form(psi[0], psi[1:], data)
-        ok = d_tot >= 1.0
+        out = np.full(data.n_clusters, np.inf)
         if ok.any():
             out[ok] = constrained_nuisance_closed_form(psi[0], psi[1:], data.subset(ok))
         return out

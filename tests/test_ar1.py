@@ -7,7 +7,6 @@ from mcmpl.ar1 import (
     DegenerateDesignError,
     constrained_lambda,
     constrained_sigma2,
-    fit_bounded,
     make_panel_dataset,
     ols_fit,
 )
@@ -201,9 +200,14 @@ class TestFitBounded:
             prev = 1.0 + 0.7 * prev
             y[:, k] = prev
         data = make_panel_dataset(y, y0)
-        fit = fit_bounded(data, MonteCarloConfig(replicates=10, master_seed=1),
-                          method="profile")
+        fit = core.fit(AR1PanelModel(), data, "profile")
         assert fit.psi_hat[0] == pytest.approx(0.7, abs=1e-10)
+
+    def test_profile_fit_is_closed_form(self):
+        data = simulate_panel(30, 5, seed=16)
+        fit = core.fit(AR1PanelModel(), data, "profile")
+        assert fit.psi_hat[0] == ols_fit(data)[0]
+        assert fit.converged and fit.iterations == 0
 
     def test_lambda_identity(self):
         data = simulate_panel(25, 6, seed=12)
@@ -229,7 +233,7 @@ class TestFitBounded:
     def test_double_profile_matches_joint_maximization(self):
         data = simulate_panel(40, 6, seed=14)
         mc = MonteCarloConfig(replicates=300, master_seed=21)
-        fit_scalar = fit_bounded(data, mc, method="mcmpl")
+        fit_scalar = core.fit(AR1PanelModel(), data, "mcmpl", mc)
 
         model = AR1PanelModel()
         rho, sigma2, lam = ols_fit(data)
@@ -249,8 +253,8 @@ class TestFitBounded:
     def test_profile_and_mcmpl_bias_directions(self):
         data = simulate_panel(200, 4, rho=0.5, seed=15)
         mc = MonteCarloConfig(replicates=300, master_seed=22)
-        prof = fit_bounded(data, mc, method="profile")
-        mod = fit_bounded(data, mc, method="mcmpl")
+        prof = core.fit(AR1PanelModel(), data, "profile", mc)
+        mod = core.fit(AR1PanelModel(), data, "mcmpl", mc)
         assert prof.psi_hat[0] < 0.45           # strong downward bias at T=4
         assert abs(mod.psi_hat[0] - 0.5) < 0.12  # correction recenters
         assert np.all(np.isfinite(prof.std_errors))

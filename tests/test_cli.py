@@ -104,6 +104,15 @@ class TestFitCommand:
         _, rows = read_table(out)
         assert [r[1] for r in rows] == ["rho", "sigma2"]
 
+    def test_ar1_nonfinite_se_flagged(self, tmp_path):
+        path, _ = ar1_csv(tmp_path, n=40, t=4, seed=0, rho=0.9)
+        out = tmp_path / "fit.csv"
+        assert main(["fit", "--model", "ar1", "--data", path, "--seed", "5",
+                     "--replicates", "200", "--out", str(out)]) == 2
+        _, rows = read_table(out)
+        assert [r[3] for r in rows] == ["", ""]
+        assert "flags=hessian_not_negative_definite" in out.read_text()
+
     def test_single_replicate_legal(self, tmp_path):
         path, _ = binary_csv(tmp_path)
         out = str(tmp_path / "fit.csv")
@@ -161,6 +170,27 @@ class TestFitCommand:
                      "--data", path, "--out", str(out)] + option) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model,lines,line", [
+        ("weibull", ["cluster,t,time,event,x1", "1,1,0.5,1,0.1", "1,2,0.0,0,0.2"], 3),
+        ("weibull", ["cluster,t,time,event,x1", "1,1,0.5,2,0.1", "1,2,0.7,0,0.2"], 2),
+        ("binary", ["cluster,t,y,missing,x1", "1,1,1,0,0.1", "1,2,0,1,0.2"], 3),
+        ("ar1", ["cluster,t,y", "1,0,0.0", "1,1,0.4", "1,2,0.9",
+                 "2,1,0.3", "2,2,0.8"], 5),
+        ("ar1", ["cluster,t,y", "1,0,0.0", "1,1,0.4", "1,2,0.9",
+                 "2,0,0.0", "2,1,0.3", "2,2,0.8", "2,3,1.1"], None),
+    ], ids=["weibull-time", "weibull-event", "binary-y-on-missing",
+            "ar1-no-initial-row", "ar1-unequal-length"])
+    def test_bad_row_exit_one(self, tmp_path, capsys, model, lines, line):
+        path = write_lines(tmp_path / "bad.csv", lines)
+        out = tmp_path / "o.csv"
+        assert main(["fit", "--model", model, "--method", "profile",
+                     "--data", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if line is not None:
+            assert err.startswith(f"error: line {line}: ")
         assert not out.exists()
 
     def test_missing_column_exit_one(self, tmp_path, capsys):
@@ -221,6 +251,20 @@ class TestSimulateCommand:
         out = str(tmp_path / "menv.csv")
         assert main(["simulate", "--config", cfg, "--out", out]) == 0
         assert open(out, "rb").read() == open(base, "rb").read()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate"], ["trace", "--param", "xi", "--grid", "0.1:0.3:0.1"]])
+def test_failed_data_draw_exit_one(tmp_path, capsys, command):
+    # no censoring rate reaches a 95% share at this shape: every draw fails
+    cfg = write_lines(tmp_path / "exp.cfg", [
+        "model = weibull", "N = 20", "T = 4", "S = 3", "xi = 0.2",
+        "beta = -1.0,1.0", "pc = 0.95", "methods = profile,mcmpl"])
+    out = tmp_path / "out.csv"
+    assert main(command + ["--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 class TestTraceCommand:

@@ -264,6 +264,19 @@ class TestFit:
         alt = optim.maximize_multivariate(without_expectation, prof.psi_hat)
         assert abs(fit_exact.psi_hat[0] - alt.argmax[0]) <= 1e-6
 
+    @pytest.mark.parametrize("method", core.FIT_METHODS)
+    def test_shared_profile_stage_gives_the_same_fit(self, method):
+        data = simulated_mcar(n=40)
+        model = binary.BinaryMissingModel()
+        mc = MonteCarloConfig(replicates=50, master_seed=4)
+        stage = core.profile_stage(model, data)
+        shared = core.fit(model, data, method, mc, stage=stage)
+        own = core.fit(model, data, method, mc)
+        assert shared.dropped_clusters == own.dropped_clusters > 0
+        np.testing.assert_array_equal(shared.psi_hat, own.psi_hat)
+        np.testing.assert_array_equal(shared.std_errors, own.std_errors)
+        assert shared.iterations == own.iterations
+
     def test_all_noninformative_raises(self):
         y = np.array([[1.0, 1.0], [0.0, 0.0]])
         data = binary.make_binary_dataset(y, np.zeros((2, 2)))

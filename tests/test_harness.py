@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mcmpl import harness, optim
+from mcmpl import core, harness, optim
 from mcmpl.core import substream
 from mcmpl.harness import (
     ExperimentSpec,
@@ -209,6 +209,12 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="mpl-exact"):
             ExperimentSpec(**{**base, **spec_kwargs})
 
+    def test_failed_data_draw_counts_as_failed_trial(self):
+        spec = ExperimentSpec(model="weibull", n_clusters=20, t_periods=4,
+                              n_trials=3, methods=("profile", "mcmpl"), xi=0.2,
+                              beta=(-1.0, 1.0), censoring_share=0.95)
+        assert harness.run_trial(spec, 0).estimates == {"profile": None, "mcmpl": None}
+
     def test_numerical_failure_counts_as_failed_trial(self, monkeypatch):
         calls = []
         real_fit = harness.core.fit
@@ -223,3 +229,26 @@ class TestRunExperiment:
         result = run_experiment(binary_spec(n_trials=3), keep_trials=True)
         assert result.trials[0].estimates["mcar:profile"] is None
         assert [row.n_failed_trials for row in result.rows] == [1]
+
+
+#: one small design per family for the cluster-order property
+ORDER_DESIGNS = {
+    "binary": dict(n_clusters=40, t_periods=6),
+    "weibull": dict(n_clusters=30, t_periods=6, beta=(-1.0, 1.0),
+                    censoring_share=0.2),
+    "ar1": dict(n_clusters=40, t_periods=5),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(harness.FAMILIES))
+def test_profile_fit_invariant_to_cluster_order(kind):
+    spec = ExperimentSpec(model=kind, n_trials=2, methods=("profile",), seed=7,
+                          **ORDER_DESIGNS[kind])
+    family = harness.FAMILIES[kind]
+    data, _ = family.generate(spec, substream(spec.seed, 0, 0))
+    model = family.model(spec.link, spec.mechanism)
+    perm = substream(8, 0).permutation(data.n_clusters)
+    fit = core.fit(model, data, "profile")
+    permuted = core.fit(model, data.subset(perm), "profile")
+    assert permuted.psi_hat == pytest.approx(fit.psi_hat, abs=1e-7)
+    assert permuted.std_errors == pytest.approx(fit.std_errors, rel=1e-5)
