@@ -29,10 +29,6 @@ from .core import (
 )
 from .optim import (
     OptimResult,
-    ScalarBounds,
-    Tolerances,
-    find_root_scalar,
-    integrate_semi_infinite,
     maximize_multivariate,
     maximize_scalar_bounded,
     numerical_gradient,
@@ -46,13 +42,9 @@ __all__ = [
     "MonteCarloConfig",
     "NoInformativeClustersError",
     "OptimResult",
-    "ScalarBounds",
-    "Tolerances",
     "WaldInterval",
     "drop_noninformative",
-    "find_root_scalar",
     "fit",
-    "integrate_semi_infinite",
     "make_dataset",
     "maximize_multivariate",
     "maximize_scalar_bounded",

@@ -19,9 +19,8 @@ from .core import ClusteredDataset, ClusteredModel, FitResult, MonteCarloConfig
 #: variance floor applied inside objectives so noiseless inputs stay finite
 SIGMA2_FLOOR = 1e-12
 
-#: interval and initialization grid of the bounded search in rho
-RHO_BOUNDS = optim.ScalarBounds(-1.5, 1.5)
-RHO_GRID = 64
+#: interval of the bounded search in rho
+RHO_BOUNDS = (-1.5, 1.5)
 
 
 class DegenerateDesignError(ValueError):
@@ -150,7 +149,7 @@ class AR1PanelModel(ClusteredModel):
     def constrained_nuisance(self, psi, data):
         return constrained_lambda(psi[0], data)
 
-    def maximize(self, objective, start, data, tol, modified):
+    def maximize(self, objective, start, data, modified):
         """The profile maximizer is the closed-form within least-squares fit.
         The modified objective is maximized in rho alone, the variance at
         RSS/N(T-1), by a bounded search that hill-climbs from the ML rho: the
@@ -161,8 +160,8 @@ class AR1PanelModel(ClusteredModel):
             return optim.OptimResult(argmax=psi, value=objective(psi),
                                      converged=True, iterations=0)
         res = optim.maximize_scalar_bounded(
-            lambda rho: objective(_with_sigma2(rho, data, "N(T-1)")), RHO_BOUNDS,
-            tol, init_grid=RHO_GRID, start=float(start[0]))
+            lambda rho: objective(_with_sigma2(rho, data, "N(T-1)")), *RHO_BOUNDS,
+            float(start[0]))
         return optim.OptimResult(argmax=_with_sigma2(float(res.argmax), data, "N(T-1)"),
                                  value=res.value, converged=res.converged,
                                  iterations=res.iterations)

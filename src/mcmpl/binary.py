@@ -207,7 +207,7 @@ def _observed_counts(data):
     return n_obs, s_obs
 
 
-def _solve_constrained(terms, data, score_tol=1e-11, max_iter=80):
+def _solve_constrained(terms, data):
     """Per-cluster root of the nuisance score ``terms`` (a :func:`_score_kernel`),
     safeguarded Newton/bisection.
 
@@ -239,11 +239,11 @@ def _solve_constrained(terms, data, score_tol=1e-11, max_iter=80):
 
     x = 0.5 * (lo + hi)
     live = active.copy()
-    for _ in range(max_iter):
+    for _ in range(80):
         if not live.any():
             break
         s, j = terms(x)
-        done = np.abs(s) <= score_tol
+        done = np.abs(s) <= 1e-11
         live = live & ~done
         pos = s > 0.0
         lo = np.where(live & pos, x, lo)
@@ -257,7 +257,7 @@ def _solve_constrained(terms, data, score_tol=1e-11, max_iter=80):
     return lam
 
 
-def fit_missingness_regression(data: ClusteredDataset, tol=None):
+def fit_missingness_regression(data: ClusteredDataset):
     """ML fit of the missingness indicator on the covariates, no intercept.
 
     Parameterizes stage-two deletion when simulating MCAR replicates.
@@ -272,8 +272,7 @@ def fit_missingness_regression(data: ClusteredDataset, tol=None):
         u = _clamp(x @ gamma)
         return float(np.sum(m * G.log_cdf(u) + (1.0 - m) * G.log_cdf(-u)))
 
-    res = optim.maximize_multivariate(loglik, np.zeros(data.n_covariates),
-                                      tol or optim.DEFAULT_MULTI_TOL)
+    res = optim.maximize_multivariate(loglik, np.zeros(data.n_covariates))
     gamma = np.atleast_1d(np.asarray(res.argmax, dtype=float))
     converged = bool(res.converged)
     if np.any(np.abs(gamma) > GAMMA2_BOUND):

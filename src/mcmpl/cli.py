@@ -92,19 +92,28 @@ def cmd_fit(args) -> int:
 
 
 def _thread_count(requested) -> int:
-    if requested is not None:
-        return max(1, requested)
-    env = os.environ.get("MCMPL_THREADS", "")
-    return max(1, int(env)) if env.isdigit() else 1
+    """``--threads``, else ``MCMPL_THREADS``, else 1; ValueError unless a
+    positive integer."""
+    if requested is None:
+        env = os.environ.get("MCMPL_THREADS", "")
+        if not env:
+            return 1
+        if not (env.isdecimal() and int(env) >= 1):
+            raise ValueError(f"MCMPL_THREADS={env!r} must be a positive integer")
+        return int(env)
+    if requested < 1:
+        raise ValueError(f"--threads {requested} must be at least 1")
+    return requested
 
 
 def cmd_simulate(args) -> int:
     try:
+        threads = _thread_count(args.threads)
         spec = io.read_config(args.config)
-    except (io.ConfigError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         return _fail(str(exc))
     try:
-        result = harness.run_experiment(spec, threads=_thread_count(args.threads))
+        result = harness.run_experiment(spec, threads=threads)
     except harness.InsufficientTrialsError as exc:
         return _fail(str(exc))
     io.write_metrics(args.out, spec, result.rows)

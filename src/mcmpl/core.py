@@ -17,7 +17,6 @@ import numpy as np
 from scipy.stats import norm
 
 from . import optim
-from .optim import Tolerances
 
 
 class NoInformativeClustersError(ValueError):
@@ -236,10 +235,10 @@ class ClusteredModel(ABC):
         """Whether :meth:`exact_expectation` has a closed form for this instance."""
         return False
 
-    def maximize(self, objective, start, data, tol, modified: bool) -> optim.OptimResult:
+    def maximize(self, objective, start, data, modified: bool) -> optim.OptimResult:
         """Maximize the profile (``modified`` False) or the modified objective
         from ``start``; a model with closed-form structure may shortcut it."""
-        return optim.maximize_multivariate(objective, start, tol)
+        return optim.maximize_multivariate(objective, start)
 
     def bound_hits(self, psi) -> tuple[str, ...]:
         """Warning flags for components of psi pinned at a search bound."""
@@ -306,8 +305,7 @@ def modified_profile_loglik(model, data, fit_at_mle, psi, bank=None) -> float:
     return lp + float(0.5 * np.log(info).sum() - np.log(expect).sum())
 
 
-def profile_stage(model: ClusteredModel, data: ClusteredDataset,
-                  tol: Tolerances | None = None, psi0=None):
+def profile_stage(model: ClusteredModel, data: ClusteredDataset, psi0=None):
     """Drop non-informative clusters and maximize the profile likelihood:
     ``(kept data, number dropped, search result)``."""
     kept, dropped = drop_noninformative(model, data)
@@ -316,13 +314,12 @@ def profile_stage(model: ClusteredModel, data: ClusteredDataset,
     start = np.atleast_1d(np.asarray(
         model.initial_psi(kept) if psi0 is None else psi0, dtype=float))
     search = model.maximize(lambda psi: profile_loglik(model, kept, psi), start, kept,
-                            tol or optim.DEFAULT_MULTI_TOL, modified=False)
+                            modified=False)
     return kept, dropped, search
 
 
 def fit(model: ClusteredModel, data: ClusteredDataset, method: str = "mcmpl",
-        mc: MonteCarloConfig | None = None, tol: Tolerances | None = None,
-        stage=None) -> FitResult:
+        mc: MonteCarloConfig | None = None, stage=None) -> FitResult:
     """Drop non-informative clusters and maximize the requested objective.
 
     The profile likelihood is always fitted first; its maximizer seeds the
@@ -330,17 +327,16 @@ def fit(model: ClusteredModel, data: ClusteredDataset, method: str = "mcmpl",
     O(NT) likelihood. Both searches run through :meth:`ClusteredModel.maximize`.
     Standard errors come from the numerical Hessian of the maximized
     objective itself. ``stage``, a :func:`profile_stage` of the same model
-    and data, replaces the profile search with its start and tolerance.
+    and data, replaces the profile search.
     """
     if method not in FIT_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {FIT_METHODS}")
     if method == "mpl-exact" and not model.has_exact_expectation():
         raise ValueError("mpl-exact has no closed form for this model and "
                          "mechanism; use mcmpl")
-    tol = tol or optim.DEFAULT_MULTI_TOL
     mc = mc or MonteCarloConfig()
 
-    kept, dropped, prof = stage or profile_stage(model, data, tol)
+    kept, dropped, prof = stage or profile_stage(model, data)
 
     def lp(psi):
         return profile_loglik(model, kept, psi)
@@ -360,7 +356,7 @@ def fit(model: ClusteredModel, data: ClusteredDataset, method: str = "mcmpl",
 
         def objective(psi):
             return modified_profile_loglik(model, kept, fit_at_mle, psi, bank)
-        opt = model.maximize(objective, psi_mle, kept, tol, modified=True)
+        opt = model.maximize(objective, psi_mle, kept, modified=True)
         if not prof.converged:
             warnings_.append("profile_stage_not_converged")
 
@@ -450,8 +446,7 @@ def trace_curves(model: ClusteredModel, data: ClusteredDataset, mc: MonteCarloCo
         if free:
             try:
                 res = optim.maximize_multivariate(
-                    lambda r: objective(embed(value, r)), rest,
-                    optim.Tolerances(max_iters=500))
+                    lambda r: objective(embed(value, r)), rest)
                 return res.value, np.asarray(res.argmax, dtype=float)
             except optim.NonFiniteStartError:
                 pass

@@ -11,6 +11,7 @@ order and of the number of worker processes.
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -61,7 +62,6 @@ class ExperimentSpec:
     rho: float = 0.5
     sigma2: float = 1.0
     lambda_generator: str = "normal"
-    level: float = 0.95
 
     def __post_init__(self):
         if self.model not in FAMILIES:
@@ -313,10 +313,9 @@ def _order_stat_median(values):
     return float(0.5 * (v[s // 2 - 1] + v[s // 2]))
 
 
-def compute_metrics(estimates, ses, truth: float, level: float = 0.95,
-                    method: str = "", parameter: str = "",
-                    n_failed: int = 0) -> MetricsRow:
-    """Bias, spread and coverage summaries for one estimator.
+def compute_metrics(estimates, ses, truth: float, method: str = "",
+                    parameter: str = "", n_failed: int = 0) -> MetricsRow:
+    """Bias, spread and 95% coverage summaries for one estimator.
 
     The empirical standard deviation uses the S-1 divisor while the root
     mean squared error uses S, matching the reported table conventions;
@@ -331,7 +330,7 @@ def compute_metrics(estimates, ses, truth: float, level: float = 0.95,
     bias = float(err.mean())
     sd = float(np.sqrt(((est - est.mean()) ** 2).sum() / (s - 1)))
     rmse = float(np.sqrt((err ** 2).mean()))
-    z = norm.ppf(0.5 * (1.0 + level))
+    z = norm.ppf(0.975)
     with np.errstate(invalid="ignore"):
         covered = np.abs(err) <= z * ses
     covered = covered | np.isinf(ses)
@@ -417,12 +416,15 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1,
 
     Trials whose fit does not converge (or hits a search bound) are
     excluded from the metrics and counted per method. Aggregation follows
-    trial order, so the output is byte-identical for any ``threads``.
+    trial order, so the output is byte-identical for any ``threads``. The
+    pool forks all its workers at once, so it gets no more than there are
+    trials or CPUs.
     """
     truth = FAMILIES[spec.model].truth(spec)
     indices = range(spec.n_trials)
-    if threads > 1 and spec.n_trials > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, spec.n_trials, os.cpu_count() or 1)
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run_trial, [spec] * spec.n_trials, indices))
     else:
         outcomes = [run_trial(spec, s) for s in indices]
@@ -439,6 +441,6 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1,
             est = [p[parameter][0] for p in usable]
             ses = [p[parameter][1] for p in usable]
             rows.append(compute_metrics(est, ses, truth.get(parameter, np.nan),
-                                        spec.level, method, parameter, n_failed))
+                                        method, parameter, n_failed))
     return ExperimentResult(spec=spec, rows=rows,
                             trials=outcomes if keep_trials else None)

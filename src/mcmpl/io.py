@@ -94,8 +94,10 @@ def read_dataset(path, model: str) -> core.ClusteredDataset:
         if t_val != int(t_val):
             raise DataFileError("t must be an integer", line=lineno)
         record = {"t": int(t_val), "line": lineno}
+        # an initial-condition row leaves its covariate cells empty
+        initial = family.initial_row and record["t"] == 0
         for name in cols:
-            if name in ("cluster", "t"):
+            if name in ("cluster", "t") or (initial and name in x_names):
                 continue
             record[name] = parse_float(row[idx[name]], lineno, name,
                                        allow_empty=name in family.nullable)
@@ -166,7 +168,8 @@ def write_dataset(data: core.ClusteredDataset, model: str, path) -> None:
         writer.writerow(["cluster", "t", *family.columns, *x_names])
         for i, label in enumerate(labels):
             if family.initial_row:
-                writer.writerow([label, 0, _fmt(float(data.initial_conditions[i]))])
+                writer.writerow([label, 0, _fmt(float(data.initial_conditions[i]))]
+                                + [""] * (len(family.columns) - 1 + len(x_names)))
             t_out = 0
             for k in range(data.responses.shape[1]):
                 if not data.unit_mask[i, k]:

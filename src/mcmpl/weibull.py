@@ -170,15 +170,15 @@ def km_censoring(data: ClusteredDataset) -> KMCurve:
     return KMCurve(jump_times=event_times[keep], survival_values=surv[keep])
 
 
-def conditional_bootstrap_censoring(km: KMCurve, y: float, u: float) -> float:
-    """Draw a censoring time conditional on exceeding ``y``.
+def conditional_bootstrap_censoring(km: KMCurve, y, u):
+    """Censoring times conditional on exceeding ``y``, for uniform draws ``u``.
 
     Inverts the product-limit step function at ``u * S_C(y)`` through its
-    generalized inverse.
+    generalized inverse; ``y`` and ``u`` broadcast against each other.
     """
-    if not y > 0.0:
+    if not np.all(np.asarray(y) > 0.0):
         raise NonPositiveTimeError("conditioning time must be positive")
-    return float(km.generalized_inverse(u * km.evaluate(y)))
+    return km.generalized_inverse(u * km.evaluate(y))
 
 
 def relative_risk(shape, beta_j: float) -> float:
@@ -208,7 +208,7 @@ _QUAD_NODES = 400
 
 
 def calibrate_censoring_rate(shape, beta, lam, data: ClusteredDataset,
-                             target_pc: float, tol: float = 1e-10) -> float:
+                             target_pc: float) -> float:
     """Exponential censoring rate matching an overall censoring proportion.
 
     Solves mean_units integral_0^inf S_Y(y | x) rate e^(-rate y) dy =
@@ -239,7 +239,7 @@ def calibrate_censoring_rate(shape, beta, lam, data: ClusteredDataset,
     if censored_share(hi) < 0.0 or censored_share(lo) > 0.0:
         raise NoSolutionInBracketError(
             f"no rate in ({lo:g}, {hi:g}) reaches censoring share {target_pc}")
-    return float(brentq(censored_share, lo, hi, xtol=tol, rtol=1e-12, maxiter=200))
+    return float(brentq(censored_share, lo, hi, xtol=1e-10, rtol=1e-12, maxiter=200))
 
 
 def make_survival_dataset(times, events, covariates, unit_mask=None,
@@ -338,7 +338,7 @@ class WeibullSurvivalModel(ClusteredModel):
         u = rng.random(shape3)
         base = np.where(data.unit_mask, data.responses, 1.0)
         cens = np.where((data.indicators == 0.0)[None], base[None],
-                        km.generalized_inverse(u * km.evaluate(base)[None]))
+                        conditional_bootstrap_censoring(km, base, u))
         times = np.minimum(new_fail, cens)
         events = np.where(data.unit_mask[None], (new_fail <= cens).astype(float), 0.0)
         with np.errstate(divide="ignore"):

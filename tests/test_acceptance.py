@@ -10,6 +10,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import expit
 
 from mcmpl import ar1, binary, core, harness, io, weibull
@@ -222,9 +223,7 @@ def test_criterion_5_property_suite(tmp_path, capsys):
             return wmodel.nuisance_score(np.concatenate([[shape], beta]),
                                          np.array([v]), data1)[0]
 
-        root = core.optim.find_root_scalar(
-            g, core.optim.ScalarBounds(lam - 2, lam + 2),
-            core.optim.Tolerances(x_tol=1e-14))
+        root = brentq(g, lam - 2, lam + 2, xtol=1e-14, maxiter=500)
         gap = max(gap, abs(root - lam) / (1 + abs(lam)))
     checks.append(("closed_form_vs_root", gap <= 1e-10, f"{gap:.2e}"))
 

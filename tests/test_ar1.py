@@ -245,9 +245,7 @@ class TestFitBounded:
             return core.modified_profile_loglik(model, data, (psi_mle, lam),
                                                 psi, bank)
 
-        joint = optim.maximize_multivariate(lm, psi_mle,
-                                            optim.Tolerances(x_tol=1e-10,
-                                                             max_iters=2000))
+        joint = optim.maximize_multivariate(lm, psi_mle)
         assert np.all(np.abs(joint.argmax - fit_scalar.psi_hat) <= 1e-5)
 
     def test_profile_and_mcmpl_bias_directions(self):

@@ -261,6 +261,29 @@ class TestSimulateReplicate:
         assert 0.35 <= share <= 0.40
 
 
+class TestReplicateScores:
+    @pytest.mark.parametrize("link", ["logit", "probit"])
+    @pytest.mark.parametrize("mechanism", ["mcar", "mnar"])
+    def test_bank_scores_match_solver_scores(self, link, mechanism):
+        # the bank scores a replicate with f/(F(1-F)) weights and the solver
+        # with Mills ratios; a replicate rebuilt as a dataset must score alike
+        rng = np.random.default_rng(8)
+        n, t = 20, 6
+        x = rng.normal(size=(n, t))
+        miss = (rng.random((n, t)) < 0.3).astype(float)
+        y = (rng.random((n, t)) < 0.5).astype(float)
+        data = make_binary_dataset(np.where(miss == 1, np.nan, y), x, miss)
+        model = BinaryMissingModel(link=link, mechanism=mechanism)
+        psi = np.array([0.8, 1.5, 0.7])[:len(model.param_names(data))]
+        lam = rng.normal(size=n)
+        bank = model.build_replicates(psi, lam, data, substream(9, 0), 1)
+        replicate = make_binary_dataset(
+            np.where(bank.miss[0] == 1.0, np.nan, bank.obs_y[0]), x, bank.miss[0])
+        expected = bank.scores_at_mle[0]
+        score = model.nuisance_score(psi, lam, replicate)
+        assert np.all(np.abs(score - expected) <= 1e-12 * (1.0 + np.abs(expected)))
+
+
 class TestDropNoninformative:
     def test_all_ones_dropped(self):
         data = make_binary_dataset(np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]]),

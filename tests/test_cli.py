@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from mcmpl import ar1, binary, harness, io, weibull
+from mcmpl import ar1, binary, core, harness, io, weibull
 from mcmpl.cli import main
 from mcmpl.core import substream
 
@@ -66,6 +66,17 @@ class TestRoundTrip:
         assert np.array_equal(back.unit_mask, data.unit_mask)
         if kind == "ar1":
             assert np.allclose(back.initial_conditions, data.initial_conditions)
+
+    def test_ar1_with_covariate_column(self, tmp_path):
+        # the t=0 row carries empty covariate cells, so the file stays rectangular
+        data = core.make_dataset(np.arange(6.).reshape(2, 3), np.ones((2, 3)),
+                                 initial_conditions=[0., 1.])
+        path = tmp_path / "ar1.csv"
+        io.write_dataset(data, "ar1", path)
+        back = io.read_dataset(path, "ar1")
+        assert np.array_equal(back.responses, data.responses)
+        assert np.array_equal(back.covariates, data.covariates)
+        assert np.array_equal(back.initial_conditions, data.initial_conditions)
 
 
 class TestFitCommand:
@@ -251,6 +262,22 @@ class TestSimulateCommand:
         out = str(tmp_path / "menv.csv")
         assert main(["simulate", "--config", cfg, "--out", out]) == 0
         assert open(out, "rb").read() == open(base, "rb").read()
+
+    @pytest.mark.parametrize("threads, env", [
+        ("0", None), ("-2", None), (None, "0"), (None, "-1"), (None, "two")])
+    def test_bad_thread_count_exit_one(self, tmp_path, capsys, monkeypatch,
+                                       threads, env):
+        cfg = self.config(tmp_path)
+        out = tmp_path / "m.csv"
+        argv = ["simulate", "--config", cfg, "--out", str(out)]
+        if threads is not None:
+            argv += ["--threads", threads]
+        if env is not None:
+            monkeypatch.setenv("MCMPL_THREADS", env)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [

@@ -165,6 +165,31 @@ class TestRunExperiment:
         for a, b in zip(serial.rows, parallel.rows):
             assert a == b
 
+    @pytest.mark.parametrize("threads, n_trials, cpus, workers", [
+        (64, 3, 8, 3), (64, 4, 2, 2), (3, 4, 8, 3), (64, 4, None, None)])
+    def test_pool_size_capped(self, monkeypatch, threads, n_trials, cpus, workers):
+        # a stand-in pool records its size and runs the trials in-process
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness.concurrent.futures, "ProcessPoolExecutor",
+                            RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        run_experiment(binary_spec(n_trials=n_trials), threads=threads)
+        assert started == ([] if workers is None else [workers])
+
     def test_keep_trials(self):
         spec = binary_spec(n_trials=2)
         result = run_experiment(spec, keep_trials=True)

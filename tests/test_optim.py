@@ -2,22 +2,15 @@ import numpy as np
 import pytest
 
 from mcmpl.optim import (
+    X_TOL,
     NoFinitePointError,
-    NonConvergentQuadratureError,
     NonFiniteEvaluationError,
     NonFiniteStartError,
-    NoSignChangeError,
-    ScalarBounds,
-    Tolerances,
-    find_root_scalar,
-    integrate_semi_infinite,
     maximize_multivariate,
     maximize_scalar_bounded,
     numerical_gradient,
     numerical_hessian,
 )
-
-XTOL = Tolerances().x_tol
 
 
 def grid_argmax(f, lo, hi, n=10_000):
@@ -29,27 +22,27 @@ def grid_argmax(f, lo, hi, n=10_000):
 
 class TestScalarBounded:
     def test_quadratic(self):
-        res = maximize_scalar_bounded(lambda x: -(x - 2.0) ** 2, ScalarBounds(0, 5))
+        res = maximize_scalar_bounded(lambda x: -(x - 2.0) ** 2, 0, 5, 4.0)
         assert res.converged
-        assert abs(res.argmax - 2.0) <= XTOL
+        assert abs(res.argmax - 2.0) <= X_TOL
 
     def test_sine(self):
-        res = maximize_scalar_bounded(np.sin, ScalarBounds(0, np.pi))
-        assert abs(res.argmax - np.pi / 2) <= XTOL
+        res = maximize_scalar_bounded(np.sin, 0, np.pi, 0.5)
+        assert abs(res.argmax - np.pi / 2) <= X_TOL
 
     def test_infeasible_region(self):
         def f(x):
             return -np.inf if x < 0.5 else -abs(x - 0.7) ** 1.5
 
         oracle = grid_argmax(f, 0.0, 1.0, n=10_001)  # step 1e-4
-        res = maximize_scalar_bounded(f, ScalarBounds(0, 1))
+        res = maximize_scalar_bounded(f, 0, 1, 0.2)
         assert abs(res.argmax - 0.7) <= 1e-4
         assert abs(res.argmax - oracle) <= 2e-4
         assert np.isfinite(res.value)
 
     def test_all_infeasible(self):
         with pytest.raises(NoFinitePointError):
-            maximize_scalar_bounded(lambda x: -np.inf, ScalarBounds(0, 1))
+            maximize_scalar_bounded(lambda x: -np.inf, 0, 1, 0.5)
 
     @pytest.mark.parametrize("f, lo, hi", [
         (lambda x: -(x - 0.3) ** 2, -1.0, 1.0),
@@ -58,15 +51,9 @@ class TestScalarBounded:
         (lambda x: x * np.exp(-x), 0.0, 5.0),
     ])
     def test_matches_grid_scan(self, f, lo, hi):
-        res = maximize_scalar_bounded(f, ScalarBounds(lo, hi))
+        res = maximize_scalar_bounded(f, lo, hi, lo)
         step = (hi - lo) / 9_999
         assert abs(res.argmax - grid_argmax(f, lo, hi)) <= 2 * step
-
-    def test_bounds_validation(self):
-        with pytest.raises(ValueError):
-            ScalarBounds(1.0, 1.0)
-        with pytest.raises(ValueError):
-            ScalarBounds(0.0, np.inf)
 
 
 class TestMultivariate:
@@ -157,46 +144,3 @@ class TestDerivatives:
 
         with pytest.raises(NonFiniteEvaluationError):
             numerical_gradient(f, 1.0)
-
-
-class TestRootFinding:
-    def test_linear(self):
-        assert abs(find_root_scalar(lambda x: x - 1.0, ScalarBounds(0, 2)) - 1.0) <= 1e-8
-
-    def test_expit_quantile(self):
-        from scipy.special import expit
-
-        root = find_root_scalar(lambda x: expit(x) - 0.25, ScalarBounds(-5, 5))
-        assert abs(root - np.log(0.25 / 0.75)) <= 1e-6
-
-    def test_cubic(self):
-        assert abs(find_root_scalar(lambda x: x ** 3, ScalarBounds(-1, 2))) <= 1e-6
-
-    def test_no_sign_change(self):
-        with pytest.raises(NoSignChangeError):
-            find_root_scalar(lambda x: x ** 2 + 1.0, ScalarBounds(-1, 1))
-
-
-class TestQuadrature:
-    def test_exponential(self):
-        assert abs(integrate_semi_infinite(lambda y: np.exp(-y)) - 1.0) <= 1e-8
-
-    def test_exponential_product(self):
-        # integral of e^{-y} * 0.25 e^{-0.25 y} equals 0.25 / 1.25 = 0.2
-        rate = 0.25
-        val = integrate_semi_infinite(lambda y: np.exp(-y) * rate * np.exp(-rate * y))
-        assert abs(val - rate / (rate + 1.0)) <= 1e-8
-
-    def test_gaussian_moment(self):
-        assert abs(integrate_semi_infinite(lambda y: y * np.exp(-y * y)) - 0.5) <= 1e-8
-
-    def test_subdivision_invariance(self):
-        # halving the tolerance (forcing more subdivisions) moves the value < tol
-        f = lambda y: np.exp(-0.7 * y) * (1.0 + np.sin(y) ** 2)
-        v1 = integrate_semi_infinite(f, tol=1e-8)
-        v2 = integrate_semi_infinite(f, tol=1e-12)
-        assert abs(v1 - v2) <= 1e-8
-
-    def test_divergent(self):
-        with pytest.raises(NonConvergentQuadratureError):
-            integrate_semi_infinite(lambda y: 1.0 / (1.0 + y))

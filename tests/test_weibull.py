@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from mcmpl import core, optim, weibull
 from mcmpl.core import MonteCarloConfig, substream
-from mcmpl.optim import ScalarBounds, find_root_scalar
 from mcmpl.weibull import (
     EmptyDataError,
     KMCurve,
@@ -136,8 +137,7 @@ class TestConstrainedNuisance:
                 def g(v):
                     return nuisance_score(shape, beta, v, cluster)[0]
 
-                root = find_root_scalar(g, ScalarBounds(lam[i] - 2.0, lam[i] + 2.0),
-                                        optim.Tolerances(x_tol=1e-14))
+                root = brentq(g, lam[i] - 2.0, lam[i] + 2.0, xtol=1e-14, maxiter=500)
                 assert abs(root - lam[i]) <= 1e-10 * (1 + abs(lam[i]))
 
     def test_no_events_raises(self):
@@ -261,6 +261,15 @@ class TestConditionalBootstrap:
         # S never reaches 0.4 * 0.1; draw maps to the largest censoring jump
         assert conditional_bootstrap_censoring(km, 1.0, 0.1) == 2.0
 
+    def test_array_draws_match_scalar_draws(self):
+        km = self.curve()
+        y = np.array([[0.5, 1.0], [3.0, 1.5]])
+        u = np.random.default_rng(4).random((3, 2, 2))
+        draws = conditional_bootstrap_censoring(km, y, u)
+        scalar = [conditional_bootstrap_censoring(km, float(yy), float(uu))
+                  for yy, uu in zip(np.broadcast_to(y, u.shape).ravel(), u.ravel())]
+        assert np.array_equal(draws.ravel(), scalar)
+
     def test_draw_exceeds_conditioning_time(self):
         rng = np.random.default_rng(10)
         data, *_ = random_survival(rng, n=10, t=6)
@@ -379,9 +388,9 @@ class TestCalibration:
         shape, beta = 1.5, np.array([-1.0, 1.0])
         rate = calibrate_censoring_rate(shape, beta, lam, data, 0.3)
         eta = np.exp(-(lam[:, None] + data.covariates @ beta))
-        shares = [optim.integrate_semi_infinite(
-            lambda y, e=e: np.exp(-(e * y) ** shape) * rate * np.exp(-rate * y))
-            for e in eta.ravel()]
+        shares = [quad(lambda y, e=e: np.exp(-(e * y) ** shape) * rate * np.exp(-rate * y),
+                       0.0, np.inf, epsabs=1e-300, epsrel=1e-8, limit=200)[0]
+                  for e in eta.ravel()]
         assert np.mean(shares) == pytest.approx(0.3, abs=1e-6)
 
     def test_empirical_share_reproduced(self):
