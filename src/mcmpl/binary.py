@@ -383,6 +383,27 @@ class BinaryMissingModel(ClusteredModel):
             return (2 * data.n_covariates,)
         return ()
 
+    def maximize(self, objective, start, data, modified):
+        """One search from ``start``, then, with a free gamma2, one probe near
+        the separation wall.
+
+        Separation leaves the objective flat in gamma2, and a quasi-Newton
+        search stops on that ridge short of the wall. Where the objective
+        at the wall ties or beats the search value, the search restarts
+        there, so the estimate reaches the wall and :meth:`bound_hits`
+        flags it.
+        """
+        res = optim.maximize_multivariate(objective, start)
+        if not self.bound_components(data):
+            return res
+        wall = np.array(res.argmax, dtype=float)
+        wall[-1] = np.copysign(GAMMA2_BOUND - 0.25, wall[-1])
+        probe = objective(wall)
+        tie = res.value - optim.F_TOL * (1.0 + abs(res.value))
+        if np.isfinite(probe) and probe >= tie:
+            return optim.maximize_multivariate(objective, wall)
+        return res
+
     # -- likelihood pieces ----------------------------------------------------
 
     def informative_mask(self, data):

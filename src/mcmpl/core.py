@@ -237,7 +237,8 @@ class ClusteredModel(ABC):
 
     def maximize(self, objective, start, data, modified: bool) -> optim.OptimResult:
         """Maximize the profile (``modified`` False) or the modified objective
-        from ``start``; a model with closed-form structure may shortcut it."""
+        from ``start``; a model with closed-form structure may shortcut it,
+        and a model with a search bound may probe it."""
         return optim.maximize_multivariate(objective, start)
 
     def bound_hits(self, psi) -> tuple[str, ...]:

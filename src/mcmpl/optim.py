@@ -1,8 +1,8 @@
 """Numerical routines shared by every model fitter.
 
-Bounded scalar maximization, derivative-free simplex descent with
-quasi-Newton polishing, and central-difference derivatives. Every fit runs
-with the one set of settings below.
+Bounded scalar maximization, a quasi-Newton (BFGS) search with a simplex
+fallback, and central-difference derivatives. Every fit runs with the one
+set of settings below.
 
 Objectives signal infeasible regions by returning ``-inf``; the
 optimizers treat such points as worse than any finite value and never
@@ -32,9 +32,10 @@ class NonFiniteEvaluationError(ValueError):
 
 #: x-tolerance of the bounded scalar search
 X_TOL = 1e-8
-#: value tolerance of the simplex, and the near-tie margin of the polish
+#: value tolerance of the fallback simplex, and the near-tie margin of the
+#: BFGS search
 F_TOL = 1e-10
-#: gradient tolerance of the polish and of the convergence flag
+#: gradient tolerance of the BFGS search and of the convergence flag
 GRAD_TOL = 1e-6
 #: iteration cap of every search
 MAX_ITERS = 2000
@@ -57,11 +58,13 @@ def maximize_scalar_bounded(f, lo: float, hi: float, start: float) -> OptimResul
     """Maximize ``f`` on ``[lo, hi]`` near ``start``.
 
     The search hill-climbs over an equispaced interior grid from the point
-    nearest ``start`` and refines the first local maximum reached by a
-    golden-section search with parabolic acceleration. Objectives whose
-    global maximum sits on a spurious re-increasing branch are thereby
-    maximized locally around the seed. Points where ``f`` is ``-inf`` are
-    infeasible; they shrink the bracket but are never returned.
+    nearest ``start``, evaluating only the grid points it visits, and
+    refines the first local maximum reached by a golden-section search with
+    parabolic acceleration. If ``f`` is ``-inf`` at the starting grid point,
+    the whole grid is evaluated and the climb starts from its best point.
+    Objectives whose global maximum sits on a spurious re-increasing branch
+    are thereby maximized locally around the seed. Points where ``f`` is
+    ``-inf`` are infeasible; they shrink the bracket but are never returned.
 
     Raises
     ------
@@ -69,26 +72,34 @@ def maximize_scalar_bounded(f, lo: float, hi: float, start: float) -> OptimResul
         If ``f`` is non-finite on the whole initialization grid.
     """
     xs = lo + (hi - lo) * np.arange(1, SCALAR_GRID + 1) / (SCALAR_GRID + 1.0)
-    fs = np.array([f(x) for x in xs], dtype=float)
-    fs[~np.isfinite(fs)] = -np.inf
-    if not np.isfinite(fs).any():
-        raise NoFinitePointError(
-            f"objective is -inf on all {SCALAR_GRID} initialization points")
+    fs = np.full(SCALAR_GRID, np.nan)  # NaN marks a grid point not yet evaluated
+
+    def at(j):
+        if np.isnan(fs[j]):
+            v = f(xs[j])
+            fs[j] = v if np.isfinite(v) else -np.inf
+        return fs[j]
+
     k = int(np.argmin(np.abs(xs - start)))
-    if not np.isfinite(fs[k]):
+    if not np.isfinite(at(k)):
+        for j in range(SCALAR_GRID):
+            at(j)
+        if not np.isfinite(fs).any():
+            raise NoFinitePointError(
+                f"objective is -inf on all {SCALAR_GRID} initialization points")
         k = int(np.argmax(fs))
     moved = True
     while moved:
         moved = False
         for step in (-1, 1):
             j = k + step
-            if 0 <= j < len(xs) and fs[j] > fs[k]:
+            if 0 <= j < SCALAR_GRID and at(j) > fs[k]:
                 k, moved = j, True
     a = xs[k - 1] if k > 0 else lo
-    b = xs[k + 1] if k < len(xs) - 1 else hi
+    b = xs[k + 1] if k < SCALAR_GRID - 1 else hi
     x, fx, n_iter, converged = _brent_max(f, a, b, xs[k], fs[k])
     return OptimResult(argmax=x, value=fx, converged=converged,
-                       iterations=n_iter + SCALAR_GRID)
+                       iterations=n_iter + int(np.count_nonzero(~np.isnan(fs))))
 
 
 def _brent_max(f, a, b, x0, f0):
@@ -143,15 +154,18 @@ def _brent_max(f, a, b, x0, f0):
                 w, fw = u, fu
             elif fu >= fv or v == x or v == w:
                 v, fv = u, fu
-    return x, fx, max_iters, False
+    return x, fx, MAX_ITERS, False
 
 
 def maximize_multivariate(f, x0) -> OptimResult:
-    """Maximize ``f`` from ``x0`` by simplex descent with quasi-Newton polish.
+    """Maximize ``f`` from ``x0`` by one BFGS search on central-difference
+    gradients.
 
-    The simplex stage is robust to the mild roughness of Monte Carlo
-    objectives; the polish stage is skipped whenever a gradient stencil
-    touches an infeasible (``-inf``) point.
+    The result is converged when the gradient BFGS computed there is small
+    relative to the objective. If the search cannot finish, because a
+    gradient stencil touched an infeasible (``-inf``) point, or it ends
+    unconverged, a Nelder-Mead simplex from ``x0`` followed by the same
+    BFGS polish takes over.
 
     Raises
     ------
@@ -162,6 +176,14 @@ def maximize_multivariate(f, x0) -> OptimResult:
     f0 = f(x0)
     if not np.isfinite(f0):
         raise NonFiniteStartError("objective not finite at the starting point")
+    found = _polish_quasi_newton(f, x0, f0)
+    if found is not None and found.converged:
+        return found
+    return _simplex_then_polish(f, x0)
+
+
+def _simplex_then_polish(f, x0) -> OptimResult:
+    """Fallback search: a Nelder-Mead simplex, then the BFGS polish."""
 
     def neg(x):
         v = f(x)
@@ -176,28 +198,28 @@ def maximize_multivariate(f, x0) -> OptimResult:
                             "xatol": 1e-7, "fatol": F_TOL,
                             "initial_simplex": simplex})
     x, val = np.asarray(res.x, dtype=float), -float(res.fun)
-    n_iter = res.nit
 
     polished = _polish_quasi_newton(f, x, val)
     if polished is not None:
-        x, val, extra = polished
-        n_iter += extra
-
-    # converged means a small gradient at the returned point (scaled by the
-    # objective's magnitude); where the gradient is incomputable the simplex
-    # termination status decides
+        polished.iterations += res.nit
+        return polished
+    # where the gradient is incomputable the simplex termination status
+    # decides convergence
     try:
-        gnorm = float(np.linalg.norm(numerical_gradient(f, x)))
-        converged = gnorm <= GRAD_TOL * (1.0 + abs(val))
+        converged = _small_gradient(numerical_gradient(f, x), val)
     except NonFiniteEvaluationError:
         converged = bool(res.success)
-    return OptimResult(argmax=x, value=val, converged=converged,
-                       iterations=n_iter)
+    return OptimResult(argmax=x, value=val, converged=converged, iterations=res.nit)
 
 
-def _polish_quasi_newton(f, x, val):
-    """BFGS refinement with numerical gradients; None if a gradient stencil
-    touches an infeasible point."""
+def _small_gradient(grad, value) -> bool:
+    """The convergence test: gradient norm scaled by the objective's size."""
+    return float(np.linalg.norm(grad)) <= GRAD_TOL * (1.0 + abs(value))
+
+
+def _polish_quasi_newton(f, x, val) -> OptimResult | None:
+    """BFGS search from ``x`` with numerical gradients; None if a gradient
+    stencil touches an infeasible point or the search ends below ``val``."""
 
     def neg(z):
         v = f(z)
@@ -213,13 +235,14 @@ def _polish_quasi_newton(f, x, val):
                            options={"gtol": GRAD_TOL, "maxiter": 200})
     except NonFiniteEvaluationError:
         return None
-    cand = np.asarray(res.x, dtype=float)
-    fcand = f(cand)
-    # accept the quasi-Newton point also on near-ties: it terminated on a
-    # small gradient, which the simplex point cannot promise
-    if np.isfinite(fcand) and fcand >= val - F_TOL * (1.0 + abs(val)):
-        return cand, float(fcand), res.nit
-    return None
+    fcand = -float(res.fun)
+    # accept near-ties with ``val``: the search ended on a small gradient,
+    # which the point it started from cannot promise
+    if not (res.fun < 1e300 and fcand >= val - F_TOL * (1.0 + abs(val))):
+        return None
+    # res.jac is the gradient at res.x, the last one the search computed
+    return OptimResult(argmax=np.asarray(res.x, dtype=float), value=fcand,
+                       converged=_small_gradient(res.jac, fcand), iterations=res.nit)
 
 
 def _steps(x, scale):

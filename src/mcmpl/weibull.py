@@ -8,16 +8,32 @@ Carlo modification available without parametric censoring assumptions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import logsumexp
 
 from .core import ClusteredDataset, ClusteredModel, make_dataset
 
 #: log-response placeholder for padded slots; exp(shape * _PAD) == 0
 _PAD = -1e30
+
+
+def _logsumexp_rows(a):
+    """Row-wise log-sum-exp of a 2-d array, bit-identical to
+    ``scipy.special.logsumexp(a, axis=1)``: the tied row maxima are split out
+    of the sum, whose shifted remainder enters through ``log1p``."""
+    a_max = a.max(axis=1)
+    top = a == a_max[:, None]
+    m = top.sum(axis=1).astype(float)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        s = np.exp(np.where(top, -np.inf, a) - a_max[:, None]).sum(axis=1)
+        out = np.log1p(s / m) + np.log(m) + a_max
+        bad = ~np.isfinite(out)
+        if bad.any():  # rows without a finite maximum: the direct formula
+            out[bad] = np.log(np.exp(a[bad]).sum(axis=1))
+    return out
 
 
 class NonPositiveTimeError(ValueError):
@@ -121,7 +137,7 @@ def constrained_nuisance_closed_form(shape, beta, data: ClusteredDataset) -> np.
     if np.any(d_tot < 1.0):
         raise NoEventsError("a cluster without events was not dropped")
     w = shape * _log_time_linpred(np.atleast_1d(beta), data)
-    return (logsumexp(w, axis=1) - np.log(d_tot)) / shape
+    return (_logsumexp_rows(w) - np.log(d_tot)) / shape
 
 
 def profile_loglik(shape, beta, data: ClusteredDataset) -> float:
@@ -134,7 +150,7 @@ def profile_loglik(shape, beta, data: ClusteredDataset) -> float:
     d_tot = delta.sum(axis=1)
     if np.any(d_tot < 1.0):
         raise NoEventsError("a cluster without events was not dropped")
-    lse = logsumexp(shape * _log_time_linpred(beta, data), axis=1)
+    lse = _logsumexp_rows(shape * _log_time_linpred(beta, data))
     linpred = np.where(data.unit_mask, data.covariates @ beta, 0.0)
     logy = np.where(data.unit_mask & (delta > 0), np.log(data.responses), 0.0)
     per_cluster = (d_tot * (np.log(d_tot) - lse)
@@ -204,7 +220,14 @@ def relative_risk_with_se(fit_result, j: int):
     return rr, (np.sqrt(var) if var > 0 else np.nan)
 
 
-_QUAD_NODES = 400
+@functools.cache
+def _half_line_rule():
+    """400-node Gauss-Legendre rule on [0, 1) mapped to the half-line by
+    y = t/(1-t), with the Jacobian folded into the weights. Built on first
+    use, not at import: the eigenproblem behind it takes about 1 MB."""
+    t, w = np.polynomial.legendre.leggauss(400)
+    t = 0.5 * (t + 1.0)
+    return t / (1.0 - t), 0.5 * w * (1.0 / (1.0 - t) ** 2)
 
 
 def calibrate_censoring_rate(shape, beta, lam, data: ClusteredDataset,
@@ -221,17 +244,13 @@ def calibrate_censoring_rate(shape, beta, lam, data: ClusteredDataset,
     log_eta = -(lam[:, None] + data.covariates @ np.atleast_1d(beta))
     log_eta = log_eta[data.unit_mask]
 
-    t, w = np.polynomial.legendre.leggauss(_QUAD_NODES)
-    t = 0.5 * (t + 1.0)
-    w = 0.5 * w
-    y = t / (1.0 - t)
-    jac = 1.0 / (1.0 - t) ** 2
+    y, w = _half_line_rule()
     # survivor factor averaged over units, independent of the rate
     with np.errstate(over="ignore"):
         surv = np.exp(-np.exp(shape * (log_eta[:, None] + np.log(y)[None]))).mean(axis=0)
 
     def censored_share(rate):
-        return float(np.sum(w * jac * surv * rate * np.exp(-rate * y))) - target_pc
+        return float(np.sum(w * surv * rate * np.exp(-rate * y))) - target_pc
 
     scale = np.exp(np.median(log_eta))  # 1/median Weibull scale
     hi = 1e3 * scale

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from mcmpl import optim
 from mcmpl.optim import (
+    SCALAR_GRID,
     X_TOL,
     NoFinitePointError,
     NonFiniteEvaluationError,
@@ -39,6 +41,23 @@ class TestScalarBounded:
         assert abs(res.argmax - 0.7) <= 1e-4
         assert abs(res.argmax - oracle) <= 2e-4
         assert np.isfinite(res.value)
+
+    def test_iteration_cap_returns_unconverged(self, monkeypatch):
+        monkeypatch.setattr(optim, "MAX_ITERS", 3)
+        res = maximize_scalar_bounded(lambda x: -(x - 2.0) ** 2, 0, 5, 4.0)
+        assert np.isfinite(res.argmax) and np.isfinite(res.value)
+        assert not res.converged
+
+    def test_climb_evaluates_only_visited_grid_points(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return -(x - 2.0) ** 2
+
+        maximize_scalar_bounded(f, 0, 5, 2.5)
+        grid = 5.0 * np.arange(1, SCALAR_GRID + 1) / (SCALAR_GRID + 1.0)
+        assert np.isin(grid, calls).sum() < 10
 
     def test_all_infeasible(self):
         with pytest.raises(NoFinitePointError):
@@ -80,6 +99,51 @@ class TestMultivariate:
     def test_nonfinite_start(self):
         with pytest.raises(NonFiniteStartError):
             maximize_multivariate(lambda v: -np.inf, np.zeros(1))
+
+    @pytest.mark.parametrize("dim", [1, 3])
+    def test_concave_quadratic(self, dim):
+        rng = np.random.default_rng(dim)
+        a = rng.normal(size=(dim, dim))
+        prec = a @ a.T + dim * np.eye(dim)
+        center = rng.normal(size=dim)
+
+        def f(v):
+            d = v - center
+            return -0.5 * d @ prec @ d
+
+        res = maximize_multivariate(f, np.zeros(dim))
+        assert res.converged
+        assert np.allclose(res.argmax, center, atol=1e-6)
+
+    def test_infeasible_wall_at_maximum_falls_back(self, monkeypatch):
+        # the maximum sits on the wall, so every gradient stencil near it
+        # touches -inf and the quasi-Newton search cannot finish
+        def f(v):
+            return -np.inf if v[0] > 1.0 else -(v[0] - 1.0) ** 2 - (v[1] + 0.5) ** 2
+
+        fallbacks = []
+        fallback = optim._simplex_then_polish
+        monkeypatch.setattr(optim, "_simplex_then_polish",
+                            lambda *a: fallbacks.append(a) or fallback(*a))
+        x0 = np.array([0.0, 0.0])
+        res = maximize_multivariate(f, x0)
+        assert fallbacks
+        assert np.all(np.isfinite(res.argmax)) and res.argmax[0] <= 1.0
+        assert np.isfinite(f(res.argmax)) and res.value == f(res.argmax)
+        assert res.value >= f(x0)
+        assert np.allclose(res.argmax, [1.0, -0.5], atol=1e-3)
+
+    @pytest.mark.parametrize("f, x0", [
+        (lambda v: -(v[0] - 1) ** 2 - (v[1] + 2) ** 2, [0.0, 0.0]),
+        (lambda v: np.sin(v[0]) * np.cos(v[1]), [0.3, 0.2]),
+        (lambda v: -np.log1p(np.exp(v[0])) - np.log1p(np.exp(-v[0] - v[1])), [0.0, 0.0]),
+        (lambda v: -np.inf if v[0] < 0 else -v[0] - (v[1] - 2) ** 2, [0.5, 0.0]),
+        (lambda v: 3.5, [0.7, -0.2]),
+    ])
+    def test_never_below_start(self, f, x0):
+        res = maximize_multivariate(f, np.array(x0))
+        assert res.value >= f(np.array(x0))
+        assert res.value == f(np.atleast_1d(res.argmax))
 
     def test_hessian_at_max(self):
         f = lambda v: -(v[0] ** 2) - 3 * v[1] ** 2

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import logsumexp
 
 from mcmpl import core, optim, weibull
 from mcmpl.core import MonteCarloConfig, substream
@@ -144,6 +145,21 @@ class TestConstrainedNuisance:
         data = make_survival_dataset([[1.0, 2.0]], [[0.0, 0.0]], np.zeros((1, 2, 1)))
         with pytest.raises(NoEventsError):
             constrained_nuisance_closed_form(1.0, [0.0], data)
+
+
+class TestLogSumExp:
+    def test_bitwise_equal_to_scipy(self):
+        rng = np.random.default_rng(11)
+        for k in range(2000):
+            a = rng.normal(size=(100, 6)) * [0.1, 1.0, 30.0, 1e3][k % 4]
+            a[rng.random(a.shape) < 0.2] = -np.inf
+            tied = rng.random(100) < 0.3
+            a[tied, 2] = a[tied, 0]                     # tied maxima, some rows
+            a[rng.random(100) < 0.05] = -np.inf         # rows with no finite term
+            if k % 3 == 0:
+                a = np.round(a)                          # many more ties
+            ours = weibull._logsumexp_rows(a)
+            assert np.array_equal(ours, logsumexp(a, axis=1))
 
 
 class TestProfileLoglik:
