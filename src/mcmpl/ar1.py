@@ -23,7 +23,7 @@ SIGMA2_FLOOR = 1e-12
 RHO_BOUNDS = (-1.5, 1.5)
 
 
-class DegenerateDesignError(ValueError):
+class DegenerateDesignError(optim.NumericalFailure):
     """The lagged response has no within-cluster variation."""
 
 

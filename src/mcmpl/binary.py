@@ -29,7 +29,7 @@ GAMMA2_BOUND = 30.0
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
-class ProbabilityUnderflowError(FloatingPointError):
+class ProbabilityUnderflowError(optim.NumericalFailure):
     """A log-likelihood term had a non-positive argument after clamping."""
 
 
@@ -42,8 +42,6 @@ class Link:
     underflows.
     """
 
-    kind: str
-
     def cdf(self, eta): ...
     def log_cdf(self, eta): ...
     def pdf(self, eta): ...
@@ -54,8 +52,6 @@ class Link:
 
 
 class LogitLink(Link):
-    kind = "logit"
-
     def cdf(self, eta):
         return expit(eta)
 
@@ -80,8 +76,6 @@ class LogitLink(Link):
 
 
 class ProbitLink(Link):
-    kind = "probit"
-
     def cdf(self, eta):
         return ndtr(eta)
 
@@ -320,18 +314,14 @@ class BinaryMissingModel(ClusteredModel):
 
     ``mechanism`` selects the interest parameter: the regression
     coefficients alone (mcar) or those stacked with the missingness
-    coefficients (mnar). ``fixed_gamma2`` pins the response coefficient of
-    the missingness model, shrinking the search space accordingly.
+    coefficients (mnar).
     """
 
-    def __init__(self, link="logit", mechanism="mcar", fixed_gamma2=None):
+    def __init__(self, link="logit", mechanism="mcar"):
         self.link = get_link(link)
         if mechanism not in ("mcar", "mnar"):
             raise ValueError("mechanism must be mcar or mnar")
         self.mechanism = mechanism
-        self.fixed_gamma2 = fixed_gamma2
-        if mechanism == "mcar" and fixed_gamma2 not in (None, 0.0):
-            raise ValueError("MCAR has no free gamma2")
 
     # -- parameter packing ---------------------------------------------------
 
@@ -339,10 +329,7 @@ class BinaryMissingModel(ClusteredModel):
         psi = np.atleast_1d(np.asarray(psi, dtype=float))
         if self.mechanism == "mcar":
             return psi[:p], None, 0.0
-        gamma1 = psi[p:2 * p]
-        if self.fixed_gamma2 is not None:
-            return psi[:p], gamma1, float(self.fixed_gamma2)
-        return psi[:p], gamma1, float(psi[2 * p])
+        return psi[:p], psi[p:2 * p], float(psi[2 * p])
 
     def param_names(self, data):
         p = data.n_covariates
@@ -350,8 +337,6 @@ class BinaryMissingModel(ClusteredModel):
         if self.mechanism == "mcar":
             return betas
         gammas = tuple(f"gamma1_{j + 1}" for j in range(p))
-        if self.fixed_gamma2 is not None:
-            return betas + gammas
         return betas + gammas + ("gamma2",)
 
     def initial_psi(self, data):
@@ -360,32 +345,29 @@ class BinaryMissingModel(ClusteredModel):
             return np.zeros(p)
         gamma1, _ = fit_missingness_regression(data)
         gamma1 = np.clip(gamma1, -5.0, 5.0)
-        if self.fixed_gamma2 is not None:
-            return np.concatenate([np.zeros(p), gamma1])
         return np.concatenate([np.zeros(p), gamma1, [0.0]])
 
     def params_feasible(self, psi):
         psi = np.atleast_1d(np.asarray(psi, dtype=float))
         if not np.all(np.isfinite(psi)):
             return False
-        if self.mechanism == "mnar" and self.fixed_gamma2 is None:
+        if self.mechanism == "mnar":
             return abs(psi[-1]) <= GAMMA2_BOUND
         return True
 
     def bound_hits(self, psi):
-        if self.mechanism == "mnar" and self.fixed_gamma2 is None \
-                and abs(psi[-1]) >= GAMMA2_BOUND - 0.5:
+        if self.mechanism == "mnar" and abs(psi[-1]) >= GAMMA2_BOUND - 0.5:
             return ("gamma2_at_bound",)
         return ()
 
     def bound_components(self, data):
-        if self.mechanism == "mnar" and self.fixed_gamma2 is None:
+        if self.mechanism == "mnar":
             return (2 * data.n_covariates,)
         return ()
 
     def maximize(self, objective, start, data, modified):
-        """One search from ``start``, then, with a free gamma2, one probe near
-        the separation wall.
+        """One search from ``start``, then, under mnar, one probe near the
+        separation wall.
 
         Separation leaves the objective flat in gamma2, and a quasi-Newton
         search stops on that ridge short of the wall. Where the objective

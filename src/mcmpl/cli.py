@@ -1,7 +1,10 @@
 """Command-line front end: fit datasets, run experiments, emit trace grids.
 
-Exit codes: 0 success, 1 usage or input error, 2 converged with warnings
-(results are still written).
+Exit codes: 0 success, 1 error, 2 converged with warnings (results are
+still written). Every error reaches :func:`main` as a ValueError (a bad
+option or input file, or an ``optim.NumericalFailure``) or an OSError (a
+file that cannot be read or written), and main reports it as one
+``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -14,9 +17,6 @@ import numpy as np
 
 from . import core, harness, io
 from .core import MonteCarloConfig
-
-#: failures that end a command with exit 1: bad input or a numerical failure
-_FAILURES = (*harness.NUMERICAL_FAILURES, ValueError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,7 +68,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     handler = {"fit": cmd_fit, "simulate": cmd_simulate, "trace": cmd_trace}
-    return handler[args.command](args)
+    try:
+        return handler[args.command](args)
+    except (ValueError, OSError) as exc:
+        return _fail(str(exc))
 
 
 def cmd_fit(args) -> int:
@@ -76,15 +79,9 @@ def cmd_fit(args) -> int:
         return _fail(f"--level {args.level} must lie inside (0, 1)")
     family = harness.FAMILIES[args.model]
     model = family.model(args.link, args.mechanism)
-    try:
-        data = io.read_dataset(args.data, args.model)
-    except (io.DataFileError, OSError) as exc:
-        return _fail(str(exc))
-    try:
-        mc = MonteCarloConfig(replicates=args.replicates, master_seed=args.seed)
-        fit = core.fit(model, data, args.method, mc)
-    except _FAILURES as exc:
-        return _fail(str(exc))
+    data = io.read_dataset(args.data, args.model)
+    mc = MonteCarloConfig(replicates=args.replicates, master_seed=args.seed)
+    fit = core.fit(model, data, args.method, mc)
     io.write_fit_results(args.out, fit, args.level, args.seed, args.replicates,
                          extra_rows=family.derived(fit))
     flagged = not fit.converged or bool(fit.warnings)
@@ -107,15 +104,9 @@ def _thread_count(requested) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        threads = _thread_count(args.threads)
-        spec = io.read_config(args.config)
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc))
-    try:
-        result = harness.run_experiment(spec, threads=threads)
-    except harness.InsufficientTrialsError as exc:
-        return _fail(str(exc))
+    threads = _thread_count(args.threads)
+    spec = io.read_config(args.config)
+    result = harness.run_experiment(spec, threads=threads)
     io.write_metrics(args.out, spec, result.rows)
     return 0
 
@@ -134,29 +125,23 @@ def _parse_grid(text):
 
 
 def cmd_trace(args) -> int:
-    try:
-        grid = _parse_grid(args.grid)
-    except ValueError as exc:
-        return _fail(str(exc))
+    grid = _parse_grid(args.grid)
     if bool(args.data) == bool(args.config):
         return _fail("provide exactly one of --data or --config")
-    try:
-        if args.config:
-            spec = io.read_config(args.config)
-            kind, link, mechanism = spec.model, spec.link, spec.mechanism
-            data, _ = harness.generate_dataset(spec, core.substream(spec.seed, 0, 0))
-            mc = MonteCarloConfig(replicates=spec.replicates, master_seed=spec.seed)
-        else:
-            if not args.model:
-                return _fail("--model is required with --data")
-            kind, link, mechanism = args.model, args.link, args.mechanism
-            data = io.read_dataset(args.data, kind)
-            mc = MonteCarloConfig(replicates=args.replicates, master_seed=args.seed)
-        family = harness.FAMILIES[kind]
-        grid_lp, grid_lm = family.trace(family.model(link, mechanism), data, mc,
-                                        args.param, grid)
-    except (*_FAILURES, OSError) as exc:
-        return _fail(str(exc))
+    if args.config:
+        spec = io.read_config(args.config)
+        kind, link, mechanism = spec.model, spec.link, spec.mechanism
+        data, _ = harness.generate_dataset(spec, core.substream(spec.seed, 0, 0))
+        mc = MonteCarloConfig(replicates=spec.replicates, master_seed=spec.seed)
+    else:
+        if not args.model:
+            return _fail("--model is required with --data")
+        kind, link, mechanism = args.model, args.link, args.mechanism
+        data = io.read_dataset(args.data, kind)
+        mc = MonteCarloConfig(replicates=args.replicates, master_seed=args.seed)
+    family = harness.FAMILIES[kind]
+    grid_lp, grid_lm = family.trace(family.model(link, mechanism), data, mc,
+                                    args.param, grid)
     io.write_trace(args.out, grid, _relative(grid_lp), _relative(grid_lm))
     return 0
 

@@ -19,7 +19,7 @@ from scipy.stats import norm
 from . import optim
 
 
-class NoInformativeClustersError(ValueError):
+class NoInformativeClustersError(optim.NumericalFailure):
     """Every cluster of the dataset is non-informative."""
 
 
@@ -145,6 +145,8 @@ class MonteCarloConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
+        if self.master_seed < 0:
+            raise ValueError(f"seed {self.master_seed} must be non-negative")
 
     def generator(self, *key: int) -> np.random.Generator:
         return substream(self.master_seed, *key)

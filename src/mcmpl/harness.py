@@ -33,13 +33,6 @@ class OddClusterSizeError(ValueError):
 
 VALID_LAMBDA_GENERATORS = ("normal", "covariate-correlated")
 
-#: numerical failures of one data draw or fit; the trial is recorded as
-#: failed, the study goes on
-NUMERICAL_FAILURES = (core.NoInformativeClustersError, optim.NoFinitePointError,
-                      optim.NonFiniteStartError, binary.ProbabilityUnderflowError,
-                      weibull.NoEventsError, weibull.NoSolutionInBracketError,
-                      ar1.DegenerateDesignError)
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -68,6 +61,11 @@ class ExperimentSpec:
             raise ValueError(f"unknown model {self.model!r}")
         if min(self.n_clusters, self.t_periods, self.n_trials, self.replicates) < 1:
             raise ValueError("design counts must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be non-negative")
+        for name in ("beta", "gamma1", "gamma2", "xi", "rho", "sigma2"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if self.lambda_generator not in VALID_LAMBDA_GENERATORS:
             raise ValueError(f"unknown lambda generator {self.lambda_generator!r}")
         FAMILIES[self.model].check_spec(self)
@@ -201,6 +199,8 @@ def _check_binary_spec(spec):
 
 
 def _check_survival_spec(spec):
+    if not spec.xi > 0.0:
+        raise ValueError("xi must be positive")
     if spec.censoring_share is None or not 0.0 < spec.censoring_share < 1.0:
         raise ValueError("weibull experiments need censoring_share in (0, 1)")
     if spec.t_periods % 2:
@@ -209,6 +209,13 @@ def _check_survival_spec(spec):
     if len(spec.beta) != 2:
         raise ValueError("the survival design has two covariates; "
                          "beta needs two components")
+
+
+def _check_panel_spec(spec):
+    if not spec.sigma2 > 0.0:
+        raise ValueError("the AR(1) design needs sigma2 > 0")
+    if spec.t_periods < 2:
+        raise ValueError("the AR(1) design needs t_periods >= 2")
 
 
 def _binary_truth(spec):
@@ -296,7 +303,8 @@ FAMILIES = {
     "ar1": Family(
         model=lambda link, mechanism: ar1.AR1PanelModel(),
         generate=generate_ar1_dataset, truth=_panel_truth, columns=("y",),
-        read_row=lambda y: (y, 0.0), check_data=_check_panel,
+        read_row=lambda y: (y, 0.0), check_spec=_check_panel_spec,
+        check_data=_check_panel,
         trace=ar1.trace_curves, initial_row=True),
 }
 
@@ -377,9 +385,9 @@ def _run_method(spec, method, data, mc, rng_retry, stages):
 
 
 def _failed(fit) -> bool:
-    if not fit.converged or "gamma2_at_bound" in fit.warnings:
-        return True
-    return bool(np.any(~np.isfinite(fit.std_errors)))
+    """A fit that did not converge or has a non-finite standard error; a
+    component frozen at a search bound has a NaN standard error."""
+    return not fit.converged or bool(np.any(~np.isfinite(fit.std_errors)))
 
 
 def _collect(spec, fit):
@@ -394,7 +402,7 @@ def run_trial(spec: ExperimentSpec, trial: int) -> TrialOutcome:
     outcome = TrialOutcome()
     try:
         data, _ = generate_dataset(spec, substream(spec.seed, trial, 0))
-    except NUMERICAL_FAILURES:
+    except optim.NumericalFailure:
         outcome.estimates = dict.fromkeys(spec.methods)
         return outcome
     stages = {}
@@ -403,7 +411,7 @@ def run_trial(spec: ExperimentSpec, trial: int) -> TrialOutcome:
         try:
             fit = _run_method(spec, method, data, mc,
                               substream(spec.seed, trial, 100 + k), stages)
-        except NUMERICAL_FAILURES:
+        except optim.NumericalFailure:
             outcome.estimates[method] = None
             continue
         outcome.estimates[method] = None if _failed(fit) else _collect(spec, fit)
@@ -414,11 +422,11 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1,
                    keep_trials: bool = False) -> ExperimentResult:
     """Generate, fit and summarize ``spec.n_trials`` independent trials.
 
-    Trials whose fit does not converge (or hits a search bound) are
-    excluded from the metrics and counted per method. Aggregation follows
-    trial order, so the output is byte-identical for any ``threads``. The
-    pool forks all its workers at once, so it gets no more than there are
-    trials or CPUs.
+    Trials whose data draw or fit raises :class:`optim.NumericalFailure`,
+    or whose fit fails :func:`_failed`, are excluded from the metrics and
+    counted per method. Aggregation follows trial order, so the output is
+    byte-identical for any ``threads``. The pool forks all its workers at
+    once, so it gets no more than there are trials or CPUs.
     """
     truth = FAMILIES[spec.model].truth(spec)
     indices = range(spec.n_trials)

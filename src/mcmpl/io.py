@@ -44,7 +44,9 @@ def read_dataset(path, model: str) -> core.ClusteredDataset:
     """Parse a dataset file for the given model family.
 
     Covariate columns are x1..xp in order; clusters may appear in any row
-    order but must be complete. Errors carry the offending line number.
+    order but must be complete. Every cell must hold a finite number; only
+    an empty cell of a nullable column (a missing binary ``y``) reads as
+    NaN. Errors carry the offending line number.
     """
     if model not in FAMILIES:
         raise DataFileError(f"unknown model {model!r}")
@@ -82,10 +84,14 @@ def read_dataset(path, model: str) -> core.ClusteredDataset:
                 return np.nan
             raise DataFileError(f"empty value in column {name!r}", line=lineno)
         try:
-            return float(value)
+            number = float(value)
         except ValueError:
             raise DataFileError(f"cannot parse {value!r} in column {name!r}",
                                 line=lineno) from None
+        if not np.isfinite(number):
+            raise DataFileError(f"non-finite value {value!r} in column {name!r}",
+                                line=lineno)
+        return number
 
     clusters: dict[str, list] = {}
     for lineno, row in rows:

@@ -18,15 +18,23 @@ import numpy as np
 from scipy.optimize import minimize
 
 
-class NoFinitePointError(ValueError):
+class NumericalFailure(ValueError):
+    """Valid input whose data draw or fit broke down numerically.
+
+    Every numerical error class of the package derives from this one; a
+    study records the trial as failed and goes on.
+    """
+
+
+class NoFinitePointError(NumericalFailure):
     """Objective was -inf at every initialization point."""
 
 
-class NonFiniteStartError(ValueError):
+class NonFiniteStartError(NumericalFailure):
     """Multivariate maximization started at a non-finite objective value."""
 
 
-class NonFiniteEvaluationError(ValueError):
+class NonFiniteEvaluationError(NumericalFailure):
     """A finite-difference stencil point evaluated to a non-finite value."""
 
 

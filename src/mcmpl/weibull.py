@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
+from . import optim
 from .core import ClusteredDataset, ClusteredModel, make_dataset
 
 #: log-response placeholder for padded slots; exp(shape * _PAD) == 0
@@ -44,7 +45,7 @@ class NonPositiveShapeError(ValueError):
     """The Weibull shape parameter must be positive."""
 
 
-class NoEventsError(ValueError):
+class NoEventsError(optim.NumericalFailure):
     """A cluster without events has no finite constrained intercept."""
 
 
@@ -52,7 +53,7 @@ class EmptyDataError(ValueError):
     """No units available to estimate the censoring distribution."""
 
 
-class NoSolutionInBracketError(ValueError):
+class NoSolutionInBracketError(optim.NumericalFailure):
     """Censoring-rate calibration found no root inside its bracket."""
 
 

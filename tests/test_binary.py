@@ -3,7 +3,7 @@ import pytest
 from scipy.special import expit, ndtr
 from scipy.stats import norm
 
-from mcmpl import binary, core, optim
+from mcmpl import binary, core, harness, optim
 from mcmpl.binary import (
     BinaryMissingModel,
     fit_missingness_regression,
@@ -339,14 +339,41 @@ class TestMissingnessRegression:
         assert abs(gamma[0] - oracle.argmax[0]) <= 1e-6
 
 
+def _separated_mnar_data():
+    """Missingness almost deterministic in y: the MNAR fit drives gamma2 to
+    its bound."""
+    rng = substream(18, 0)
+    n, t = 40, 6
+    x = 0.2 * rng.standard_normal((n, t))
+    y = (rng.random((n, t)) < 0.5).astype(float)
+    miss = np.where(y == 1.0, 1.0, 0.0)
+    miss[:, 0] = 0.0  # keep one observed unit, mixed responses survive
+    data = make_binary_dataset(np.where(miss == 1, np.nan, y), x, miss)
+    return informative(data)[0]
+
+
 class TestInvariantsAndProperties:
-    def test_mcar_via_constrained_mnar_machinery(self):
+    @pytest.mark.parametrize("beta", [-1.0, 0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("gamma1", [-1.5, 2.5])
+    def test_mnar_at_zero_gamma2_is_mcar_plus_missingness(self, beta, gamma1):
+        # at psi = (beta, gamma1, 0) the missingness model ignores y, so the
+        # MNAR kernels reduce to the MCAR ones plus the missingness terms
         data, _ = informative(_sim_mcar(40, 6, seed=15))
-        mc = MonteCarloConfig(replicates=150, master_seed=55)
-        fit_mcar = core.fit(BinaryMissingModel(mechanism="mcar"), data, "mcmpl", mc)
-        fit_mnar0 = core.fit(BinaryMissingModel(mechanism="mnar", fixed_gamma2=0.0),
-                             data, "mcmpl", mc)
-        assert abs(fit_mcar.psi_hat[0] - fit_mnar0.psi_hat[0]) <= 1e-3
+        psi = np.array([beta, gamma1, 0.0])
+        lam = MCAR.constrained_nuisance(psi[:1], data)
+        assert np.array_equal(MNAR.constrained_nuisance(psi, data), lam)
+
+        zeta = expit(np.clip(gamma1 * data.covariates[:, :, 0], -35, 35))
+        m = data.indicators
+        ref = np.where(data.unit_mask, m * np.log(zeta) + (1 - m) * np.log(1 - zeta),
+                       0.0).sum(axis=1)
+        gap = (MNAR.cluster_logliks(psi, lam, data)
+               - MCAR.cluster_logliks(psi[:1], lam, data))
+        assert gap == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+        bank = MCAR.build_replicates(psi[:1], lam, data, substream(55, 0), 50)
+        assert np.array_equal(MNAR.replicate_expectation(bank, psi, lam, data),
+                              MCAR.replicate_expectation(bank, psi[:1], lam, data))
 
     def test_mixture_strictly_inside_unit_interval(self):
         # one missing unit per cluster: its log-likelihood is log P(missing)
@@ -369,16 +396,16 @@ class TestInvariantsAndProperties:
         assert fit_pos.psi_hat[0] == pytest.approx(fit_neg.psi_hat[0], abs=1e-5)
 
     def test_gamma2_separation_flagged(self):
-        # missingness almost deterministic in y drives gamma2 to its bound
-        rng = substream(18, 0)
-        n, t = 40, 6
-        x = 0.2 * rng.standard_normal((n, t))
-        y = (rng.random((n, t)) < 0.5).astype(float)
-        miss = np.where(y == 1.0, 1.0, 0.0)
-        miss[:, 0] = 0.0  # keep one observed unit, mixed responses survive
-        data = make_binary_dataset(np.where(miss == 1, np.nan, y), x, miss)
-        data, _ = informative(data)
-        fit = core.fit(BinaryMissingModel(mechanism="mnar"), data, "profile",
-                       MonteCarloConfig(replicates=10, master_seed=1))
+        fit = core.fit(BinaryMissingModel(mechanism="mnar"), _separated_mnar_data(),
+                       "profile", MonteCarloConfig(replicates=10, master_seed=1))
         assert "gamma2_at_bound" in fit.warnings
         assert abs(fit.psi_hat[-1]) >= binary.GAMMA2_BOUND - 0.5
+
+    @pytest.mark.parametrize("method", ["profile", "mcmpl"])
+    def test_gamma2_separation_fails_the_trial(self, method):
+        # gamma2 frozen at its bound has a NaN SE, which alone fails the trial
+        fit = core.fit(MNAR, _separated_mnar_data(), method,
+                       MonteCarloConfig(replicates=10, master_seed=1))
+        assert np.all(np.isfinite(fit.std_errors[:-1]))
+        assert np.isnan(fit.std_errors[-1])
+        assert harness._failed(fit)

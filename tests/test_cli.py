@@ -1,9 +1,16 @@
+import contextlib
 import csv
 import subprocess
 import sys
+import tempfile
+import warnings
+from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcmpl import ar1, binary, core, harness, io, weibull
 from mcmpl.cli import main
@@ -191,8 +198,14 @@ class TestFitCommand:
                  "2,1,0.3", "2,2,0.8"], 5),
         ("ar1", ["cluster,t,y", "1,0,0.0", "1,1,0.4", "1,2,0.9",
                  "2,0,0.0", "2,1,0.3", "2,2,0.8", "2,3,1.1"], None),
+        ("binary", ["cluster,t,y,missing,x1", "1,1,1,0,0.1", "1,inf,0,0,0.2"], 3),
+        ("binary", ["cluster,t,y,missing,x1", "1,1,1,0,0.1", "1,nan,0,0,0.2"], 3),
+        ("binary", ["cluster,t,y,missing,x1", "1,1,1,0,0.1", "1,2,0,0,inf"], 3),
+        ("ar1", ["cluster,t,y", "1,0,0.0", "1,1,inf", "1,2,0.9"], 3),
+        ("weibull", ["cluster,t,time,event,x1", "1,1,0.5,1,0.1", "1,2,inf,0,0.2"], 3),
     ], ids=["weibull-time", "weibull-event", "binary-y-on-missing",
-            "ar1-no-initial-row", "ar1-unequal-length"])
+            "ar1-no-initial-row", "ar1-unequal-length", "t-inf", "t-nan",
+            "x1-inf", "ar1-y-inf", "weibull-time-inf"])
     def test_bad_row_exit_one(self, tmp_path, capsys, model, lines, line):
         path = write_lines(tmp_path / "bad.csv", lines)
         out = tmp_path / "o.csv"
@@ -237,6 +250,14 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", cfg,
                      "--out", str(tmp_path / "m.csv")]) == 1
         assert "1" in capsys.readouterr().err  # counts must be >= 1
+
+    def test_negative_seed_exit_one(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, seed=-1)
+        out = tmp_path / "m.csv"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: seed -1 must be non-negative\n"
+        assert not out.exists()
 
     def test_unknown_key_listed(self, tmp_path, capsys):
         cfg = self.config(tmp_path, bogus_key=3)
@@ -292,6 +313,20 @@ def test_failed_data_draw_exit_one(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "simulate", "trace"])
+def test_out_in_missing_directory_exit_one(tmp_path, capsys, command):
+    path, _ = ar1_csv(tmp_path, n=20, t=4)
+    cfg = write_lines(tmp_path / "exp.cfg", [
+        "model = ar1", "N = 20", "T = 4", "S = 2", "R = 10", "methods = profile"])
+    argv = {"fit": ["fit", "--model", "ar1", "--method", "profile", "--data", path],
+            "simulate": ["simulate", "--config", cfg],
+            "trace": ["trace", "--model", "ar1", "--data", path, "--param", "rho",
+                      "--grid", "0.0:0.5:0.1", "--replicates", "10"]}[command]
+    assert main(argv + ["--out", str(tmp_path / "nodir" / "out.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestTraceCommand:
@@ -389,3 +424,104 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         header, rows = read_table(out)
         assert rows and header[0] == "N"
+
+
+#: one malformed cell: empty, non-finite, out of range, short text, or None
+#: for a dropped field
+MALFORMED = st.one_of(st.sampled_from(["", "nan", "inf", "-inf", "-1", "0", "2", None]),
+                      st.text(st.characters(codec="ascii"), max_size=4))
+
+
+def _small_or_not_integer(value):
+    try:
+        return -3 <= int(value) <= 50
+    except ValueError:
+        return True
+
+
+#: a design size (N, T, S, R) never starts a large study
+MALFORMED_SIZE = st.one_of(
+    st.integers(-3, 50).map(str),
+    MALFORMED.filter(lambda v: v is None or _small_or_not_integer(v)))
+
+#: deterministic, writes no example database, bounded run time
+PROPERTY = settings(database=None, derandomize=True, deadline=None, max_examples=40)
+
+#: small valid configs; every value is one cell a malformed value may replace.
+#: Binary and Weibull studies fit without replicate banks: on such tiny
+#: draws a failed mcmpl fit can run the fallback simplex for seconds.
+BASE_CONFIGS = {
+    "binary": {"model": "binary", "link": "logit", "mechanism": "mnar", "N": "12",
+               "T": "4", "S": "2", "R": "5", "seed": "3", "beta": "1.0",
+               "gamma1": "2.5", "gamma2": "1.0", "lambda_gen": "normal",
+               "methods": "mcar:profile,mcar:mpl-exact"},
+    "weibull": {"model": "weibull", "N": "12", "T": "4", "S": "2", "R": "5",
+                "seed": "3", "xi": "1.5", "beta": "-1.0,1.0", "pc": "0.2",
+                "methods": "profile"},
+    "ar1": {"model": "ar1", "N": "12", "T": "4", "S": "2", "R": "5", "seed": "3",
+            "rho": "0.5", "sigma2": "1.0", "methods": "profile,mcmpl"},
+}
+
+
+@pytest.fixture(scope="module")
+def base_datasets(tmp_path_factory):
+    """Rows of a small valid binary and AR(1) dataset file, split into cells."""
+    tmp = tmp_path_factory.mktemp("base")
+    files = {"binary": binary_csv(tmp, n=8, t=3)[0], "ar1": ar1_csv(tmp, n=6, t=3)[0]}
+    return {model: [line.split(",") for line in Path(path).read_text().splitlines()]
+            for model, path in files.items()}
+
+
+def _run_malformed(argv):
+    """Run ``main``; it returns 0, 1 or 2, and 1 comes with exactly one
+    ``error:`` line on stderr (a warning would print there too)."""
+    err = StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        text = err.getvalue()
+        assert text.startswith("error: ") and text.count("\n") == 1, text
+        assert not caught, [str(w.message) for w in caught]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("model", ["binary", "ar1"])
+    @PROPERTY
+    @given(draw=st.data())
+    def test_dataset_cell(self, base_datasets, model, draw):
+        rows = base_datasets[model]
+        r = draw.draw(st.integers(0, len(rows) - 1), label="row")
+        c = draw.draw(st.integers(0, len(rows[r]) - 1), label="column")
+        value = draw.draw(MALFORMED, label="value")
+        cells = list(rows[r])
+        if value is None:
+            del cells[c]
+        else:
+            cells[c] = value
+        lines = [",".join(row) for row in rows[:r] + [cells] + rows[r + 1:]]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/data.csv"
+            with open(path, "w", newline="") as fh:
+                fh.write("\n".join(lines) + "\n")
+            _run_malformed(["fit", "--model", model, "--method", "profile",
+                            "--data", path, "--out", f"{tmp}/fit.csv"])
+
+    @pytest.mark.parametrize("model", sorted(BASE_CONFIGS))
+    @PROPERTY
+    @given(draw=st.data())
+    def test_config_value(self, model, draw):
+        config = dict(BASE_CONFIGS[model])
+        key = draw.draw(st.sampled_from(sorted(config)), label="key")
+        size = key in ("N", "T", "S", "R")
+        value = draw.draw(MALFORMED_SIZE if size else MALFORMED, label="value")
+        if value is None:
+            del config[key]
+        else:
+            config[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/exp.cfg"
+            with open(path, "w", newline="") as fh:
+                fh.write("".join(f"{k} = {v}\n" for k, v in config.items()))
+            _run_malformed(["simulate", "--config", path, "--out", f"{tmp}/m.csv"])

@@ -1,8 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 
-from mcmpl import core, harness, optim
-from mcmpl.core import substream
+from mcmpl import ar1, binary, core, harness, optim, weibull
+from mcmpl.core import MonteCarloConfig, substream
 from mcmpl.harness import (
     ExperimentSpec,
     InsufficientTrialsError,
@@ -21,6 +23,17 @@ def binary_spec(**overrides):
                 mechanism="mcar", beta=(1.0,), gamma1=(2.5,), gamma2=0.0)
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+#: the survival design a Weibull spec needs besides its sizes
+WEIBULL_DESIGN = dict(model="weibull", beta=(-1.0, 1.0), censoring_share=0.2)
+
+
+def _design(**overrides):
+    """An ExperimentSpec constructor for a tiny design with ``overrides``."""
+    base = dict(model="binary", n_clusters=5, t_periods=4, n_trials=2,
+                methods=("profile",))
+    return functools.partial(ExperimentSpec, **{**base, **overrides})
 
 
 class TestGenerators:
@@ -234,6 +247,26 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="mpl-exact"):
             ExperimentSpec(**{**base, **spec_kwargs})
 
+    @pytest.mark.parametrize("make, message", [
+        (_design(seed=-1), "seed -1"),
+        (functools.partial(MonteCarloConfig, master_seed=-1), "seed -1"),
+        (_design(beta=(np.nan,)), "beta"),
+        (_design(gamma1=(np.inf,)), "gamma1"),
+        (_design(gamma2=np.nan), "gamma2"),
+        (_design(**WEIBULL_DESIGN, xi=-1.0), "xi"),
+        (_design(**WEIBULL_DESIGN, xi=0.0), "xi"),
+        (_design(**WEIBULL_DESIGN, xi=np.inf), "xi"),
+        (_design(model="ar1", rho=np.nan), "rho"),
+        (_design(model="ar1", sigma2=-1.0), "sigma2"),
+        (_design(model="ar1", sigma2=np.inf), "sigma2"),
+        (_design(model="ar1", t_periods=1), "t_periods"),
+    ], ids=["spec-seed", "mc-seed", "beta-nan", "gamma1-inf", "gamma2-nan",
+            "xi-negative", "xi-zero", "xi-inf", "rho-nan", "sigma2-negative",
+            "sigma2-inf", "ar1-t-1"])
+    def test_bad_design_or_seed_rejected(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
     def test_failed_data_draw_counts_as_failed_trial(self):
         spec = ExperimentSpec(model="weibull", n_clusters=20, t_periods=4,
                               n_trials=3, methods=("profile", "mcmpl"), xi=0.2,
@@ -263,6 +296,17 @@ ORDER_DESIGNS = {
                     censoring_share=0.2),
     "ar1": dict(n_clusters=40, t_periods=5),
 }
+
+
+def test_numerical_errors_share_one_base():
+    # the numerical errors of every module: run_trial counts each as a failed
+    # trial and the cli exits 1 on each
+    for cls in (optim.NoFinitePointError, optim.NonFiniteStartError,
+                optim.NonFiniteEvaluationError, core.NoInformativeClustersError,
+                binary.ProbabilityUnderflowError, weibull.NoEventsError,
+                weibull.NoSolutionInBracketError, ar1.DegenerateDesignError):
+        assert issubclass(cls, optim.NumericalFailure), cls
+    assert issubclass(optim.NumericalFailure, ValueError)
 
 
 @pytest.mark.parametrize("kind", sorted(harness.FAMILIES))
