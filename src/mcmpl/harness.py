@@ -198,6 +198,11 @@ def _check_binary_spec(spec):
                          "gamma1 need one component each")
 
 
+def _check_binary_data(data):
+    if data.n_covariates == 0:
+        raise ValueError("the binary model needs a covariate column x1")
+
+
 def _check_survival_spec(spec):
     if not spec.xi > 0.0:
         raise ValueError("xi must be positive")
@@ -293,7 +298,8 @@ FAMILIES = {
     "binary": Family(
         model=binary.BinaryMissingModel, generate=generate_binary_dataset,
         truth=_binary_truth, columns=("y", "missing"), read_row=_binary_row,
-        check_spec=_check_binary_spec, nullable=("y",), mechanisms=("mcar", "mnar"),
+        check_spec=_check_binary_spec, check_data=_check_binary_data,
+        nullable=("y",), mechanisms=("mcar", "mnar"),
         retry=lambda model: model.mechanism == "mnar"),
     "weibull": Family(
         model=lambda link, mechanism: weibull.WeibullSurvivalModel(),
@@ -312,14 +318,6 @@ FAMILIES = {
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
-
-def _order_stat_median(values):
-    v = np.sort(np.asarray(values, dtype=float))
-    s = v.size
-    if s % 2:
-        return float(v[s // 2])
-    return float(0.5 * (v[s // 2 - 1] + v[s // 2]))
-
 
 def compute_metrics(estimates, ses, truth: float, method: str = "",
                     parameter: str = "", n_failed: int = 0) -> MetricsRow:
@@ -343,8 +341,8 @@ def compute_metrics(estimates, ses, truth: float, method: str = "",
         covered = np.abs(err) <= z * ses
     covered = covered | np.isinf(ses)
     return MetricsRow(method=method, parameter=parameter, bias=bias,
-                      median_bias=_order_stat_median(est) - truth, sd=sd,
-                      rmse=rmse, mae=_order_stat_median(np.abs(err)),
+                      median_bias=float(np.median(est)) - truth, sd=sd,
+                      rmse=rmse, mae=float(np.median(np.abs(err))),
                       se_over_sd=float(ses.mean() / sd) if sd > 0 else np.inf,
                       coverage=float(covered.mean()), n_failed_trials=n_failed)
 

@@ -1,12 +1,13 @@
 """Numerical routines shared by every model fitter.
 
-Bounded scalar maximization, a quasi-Newton (BFGS) search with a simplex
-fallback, and central-difference derivatives. Every fit runs with the one
-set of settings below.
+Bounded scalar maximization, one quasi-Newton (BFGS) search for several
+parameters, and central-difference derivatives. Every fit runs with the
+one set of settings below.
 
 Objectives signal infeasible regions by returning ``-inf``; the
 optimizers treat such points as worse than any finite value and never
-return them as a maximizer.
+return them as a maximizer, and a gradient stencil that meets such a
+wall on one side turns one-sided.
 """
 
 from __future__ import annotations
@@ -40,12 +41,12 @@ class NonFiniteEvaluationError(NumericalFailure):
 
 #: x-tolerance of the bounded scalar search
 X_TOL = 1e-8
-#: value tolerance of the fallback simplex, and the near-tie margin of the
-#: BFGS search
+#: near-tie margin of a BFGS result against its start, and of the binary
+#: gamma2 wall probe
 F_TOL = 1e-10
 #: gradient tolerance of the BFGS search and of the convergence flag
 GRAD_TOL = 1e-6
-#: iteration cap of every search
+#: iteration cap of the bounded scalar search (BFGS stops at 200)
 MAX_ITERS = 2000
 #: interior grid points that seed the bounded scalar search
 SCALAR_GRID = 64
@@ -166,58 +167,47 @@ def _brent_max(f, a, b, x0, f0):
 
 
 def maximize_multivariate(f, x0) -> OptimResult:
-    """Maximize ``f`` from ``x0`` by one BFGS search on central-difference
-    gradients.
+    """Maximize ``f`` from ``x0`` by one BFGS search on numerical gradients.
 
-    The result is converged when the gradient BFGS computed there is small
-    relative to the objective. If the search cannot finish, because a
-    gradient stencil touched an infeasible (``-inf``) point, or it ends
-    unconverged, a Nelder-Mead simplex from ``x0`` followed by the same
-    BFGS polish takes over.
+    Infeasible (``-inf``) trial points rank below every finite value, and a
+    gradient that cannot be computed there is NaN, so the line search backs
+    off from them. The result is converged when the gradient BFGS computed
+    there is small relative to the objective. A search that ends below
+    ``f(x0)`` returns ``x0``, unconverged.
 
     Raises
     ------
     NonFiniteStartError
         If ``f(x0)`` is not finite.
     """
-    x0 = np.atleast_1d(np.asarray(x0, dtype=float))
+    x0 = np.array(x0, dtype=float, ndmin=1)
     f0 = f(x0)
     if not np.isfinite(f0):
         raise NonFiniteStartError("objective not finite at the starting point")
-    found = _polish_quasi_newton(f, x0, f0)
-    if found is not None and found.converged:
-        return found
-    return _simplex_then_polish(f, x0)
 
+    def neg(z):
+        v = f(z)
+        return -v if np.isfinite(v) else 1e300
 
-def _simplex_then_polish(f, x0) -> OptimResult:
-    """Fallback search: a Nelder-Mead simplex, then the BFGS polish."""
+    def neg_grad(z):
+        try:
+            return -numerical_gradient(f, z)
+        except NonFiniteEvaluationError:
+            return np.full(z.size, np.nan)
 
-    def neg(x):
-        v = f(x)
-        return -v if np.isfinite(v) else np.inf
-
-    simplex = np.tile(x0, (x0.size + 1, 1))
-    for j in range(x0.size):
-        simplex[j + 1, j] += max(0.1, 0.1 * abs(x0[j]))
-    # the simplex stops on 1e-7 moves; the polish refines past that
-    res = minimize(neg, x0, method="Nelder-Mead",
-                   options={"maxiter": MAX_ITERS, "maxfev": 4 * MAX_ITERS,
-                            "xatol": 1e-7, "fatol": F_TOL,
-                            "initial_simplex": simplex})
-    x, val = np.asarray(res.x, dtype=float), -float(res.fun)
-
-    polished = _polish_quasi_newton(f, x, val)
-    if polished is not None:
-        polished.iterations += res.nit
-        return polished
-    # where the gradient is incomputable the simplex termination status
-    # decides convergence
-    try:
-        converged = _small_gradient(numerical_gradient(f, x), val)
-    except NonFiniteEvaluationError:
-        converged = bool(res.success)
-    return OptimResult(argmax=x, value=val, converged=converged, iterations=res.nit)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = minimize(neg, x0, jac=neg_grad, method="BFGS",
+                       options={"gtol": GRAD_TOL, "maxiter": 200})
+    value = -float(res.fun)
+    # accept near-ties with ``f0``: the search ended on a small gradient,
+    # which the point it started from cannot promise
+    if not (res.fun < 1e300 and value >= f0 - F_TOL * (1.0 + abs(f0))):
+        return OptimResult(argmax=x0, value=float(f0), converged=False,
+                           iterations=res.nit)
+    # res.jac is the gradient at res.x, the last one the search computed
+    return OptimResult(argmax=np.asarray(res.x, dtype=float), value=value,
+                       converged=_small_gradient(res.jac, value), iterations=res.nit)
 
 
 def _small_gradient(grad, value) -> bool:
@@ -225,59 +215,38 @@ def _small_gradient(grad, value) -> bool:
     return float(np.linalg.norm(grad)) <= GRAD_TOL * (1.0 + abs(value))
 
 
-def _polish_quasi_newton(f, x, val) -> OptimResult | None:
-    """BFGS search from ``x`` with numerical gradients; None if a gradient
-    stencil touches an infeasible point or the search ends below ``val``."""
-
-    def neg(z):
-        v = f(z)
-        return -v if np.isfinite(v) else 1e300
-
-    def neg_grad(z):
-        return -numerical_gradient(f, z)
-
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = minimize(neg, x, jac=neg_grad, method="BFGS",
-                           options={"gtol": GRAD_TOL, "maxiter": 200})
-    except NonFiniteEvaluationError:
-        return None
-    fcand = -float(res.fun)
-    # accept near-ties with ``val``: the search ended on a small gradient,
-    # which the point it started from cannot promise
-    if not (res.fun < 1e300 and fcand >= val - F_TOL * (1.0 + abs(val))):
-        return None
-    # res.jac is the gradient at res.x, the last one the search computed
-    return OptimResult(argmax=np.asarray(res.x, dtype=float), value=fcand,
-                       converged=_small_gradient(res.jac, fcand), iterations=res.nit)
-
-
 def _steps(x, scale):
     return scale * np.maximum(1.0, np.abs(x))
 
 
-def _vectorize_scalar(f, scalar):
-    if not scalar:
-        return f
-    return lambda v: f(float(v[0]))
+def numerical_gradient(f, x) -> np.ndarray:
+    """Central-difference gradient with per-coordinate relative steps 1e-5.
 
+    A coordinate whose stencil is infeasible (non-finite) on exactly one
+    side takes the one-sided difference against ``f(x)`` instead.
 
-def numerical_gradient(f, x) -> np.ndarray | float:
-    """Central-difference gradient with per-coordinate relative steps 1e-5."""
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    f = _vectorize_scalar(f, scalar)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    Raises
+    ------
+    NonFiniteEvaluationError
+        If both sides of a stencil, or ``f(x)`` itself, are non-finite.
+    """
+    x = np.asarray(x, dtype=float)
     h = _steps(x, 1e-5)
     g = np.empty_like(x)
+    fx = None  # evaluated only at a wall
     for j in range(x.size):
         e = np.zeros_like(x)
         e[j] = h[j]
         fp, fm = f(x + e), f(x - e)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
+        if np.isfinite(fp) and np.isfinite(fm):
+            g[j] = (fp - fm) / (2.0 * h[j])
+            continue
+        if fx is None:
+            fx = f(x)
+        if not (np.isfinite(fx) and (np.isfinite(fp) or np.isfinite(fm))):
             raise NonFiniteEvaluationError(f"non-finite stencil in coordinate {j}")
-        g[j] = (fp - fm) / (2.0 * h[j])
-    return float(g[0]) if scalar else g
+        g[j] = (fp - fx) / h[j] if np.isfinite(fp) else (fx - fm) / h[j]
+    return g
 
 
 def numerical_hessian(f, x) -> np.ndarray:
@@ -286,9 +255,7 @@ def numerical_hessian(f, x) -> np.ndarray:
     Uses a coarser relative step (1e-4) than the gradient to keep subtractive
     cancellation under control on Monte Carlo objectives.
     """
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    f = _vectorize_scalar(f, scalar)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
     n = x.size
     h = _steps(x, 1e-4)
     fc = f(x)
@@ -311,5 +278,4 @@ def numerical_hessian(f, x) -> np.ndarray:
                 raise NonFiniteEvaluationError(
                     f"non-finite stencil in coordinates ({i}, {j})")
             H[i, j] = H[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
-    H = 0.5 * (H + H.T)
-    return H[0, 0] * np.ones((1, 1)) if scalar and n == 1 else H
+    return 0.5 * (H + H.T)

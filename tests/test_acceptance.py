@@ -252,9 +252,9 @@ def test_criterion_5_property_suite(tmp_path, capsys):
             lam_i = lam[i:i + 1]
 
             def ll(v):
-                return float(model.cluster_logliks(psi, np.array([v]), cluster)[0])
+                return float(model.cluster_logliks(psi, v, cluster)[0])
 
-            fd = -core.optim.numerical_hessian(ll, float(lam_i[0]))[0, 0]
+            fd = -core.optim.numerical_hessian(ll, lam_i)[0, 0]
             worst = max(worst, abs(fd - info[i]) / (1 + abs(info[i])))
     checks.append(("info_vs_fd", worst <= 1e-4, f"{worst:.2e}"))
 

@@ -92,9 +92,9 @@ class TestNuisanceScore:
         beta = np.array([0.7])
 
         def loglik(lam):
-            return model.cluster_logliks(beta, np.array([lam]), data)[0]
+            return model.cluster_logliks(beta, lam, data)[0]
 
-        numeric = optim.numerical_gradient(loglik, 0.3)
+        numeric = optim.numerical_gradient(loglik, np.array([0.3]))[0]
         assert model.nuisance_score(beta, np.array([0.3]), data)[0] \
             == pytest.approx(numeric, abs=1e-5)
 
@@ -119,9 +119,9 @@ class TestNuisanceObsInfo:
             model, psi, lam, data = random_cluster(rng, link=link)
 
             def loglik(v):
-                return model.cluster_logliks(psi, np.array([v]), data)[0]
+                return model.cluster_logliks(psi, v, data)[0]
 
-            h = optim.numerical_hessian(loglik, float(lam[0]))[0, 0]
+            h = optim.numerical_hessian(loglik, lam[:1])[0, 0]
             analytic = model.nuisance_obs_info(psi, lam, data)[0]
             assert abs(analytic - (-h)) <= 1e-4 * (1.0 + abs(analytic))
 

@@ -223,6 +223,18 @@ class TestFitCommand:
                      "--out", str(tmp_path / "o.csv")]) == 1
         assert "missing" in capsys.readouterr().err
 
+    def test_binary_without_covariates_exit_one(self, tmp_path, capsys):
+        # a misspelt x1 header leaves the file without covariate columns
+        path = write_lines(tmp_path / "bad.csv",
+                           ["cluster,t,y,missing,z1", "1,1,1,0,0.1", "1,2,0,0,0.2"])
+        out = tmp_path / "o.csv"
+        assert main(["fit", "--model", "binary", "--data", path,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "x1" in err
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def config(self, tmp_path, **kv):
@@ -449,7 +461,7 @@ PROPERTY = settings(database=None, derandomize=True, deadline=None, max_examples
 
 #: small valid configs; every value is one cell a malformed value may replace.
 #: Binary and Weibull studies fit without replicate banks: on such tiny
-#: draws a failed mcmpl fit can run the fallback simplex for seconds.
+#: draws a failed mcmpl fit can take seconds.
 BASE_CONFIGS = {
     "binary": {"model": "binary", "link": "logit", "mechanism": "mnar", "N": "12",
                "T": "4", "S": "2", "R": "5", "seed": "3", "beta": "1.0",

@@ -288,6 +288,24 @@ class TestRunExperiment:
         assert result.trials[0].estimates["mcar:profile"] is None
         assert [row.n_failed_trials for row in result.rows] == [1]
 
+    def test_failed_tiny_mnar_fit_stays_cheap(self, monkeypatch):
+        # trial 1 of this draw fails its mcmpl fit and its perturbed-start
+        # retry; each search ends in a few hundred objective evaluations
+        calls = []
+        real = core.modified_profile_loglik
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(core, "modified_profile_loglik", counting)
+        spec = binary_spec(n_clusters=12, t_periods=4, n_trials=2, replicates=5,
+                           seed=3, mechanism="mnar", gamma2=2.0,
+                           methods=("mcar:profile", "mnar:mcmpl"))
+        outcome = harness.run_trial(spec, 1)
+        assert outcome.estimates["mnar:mcmpl"] is None
+        assert len(calls) < 2000
+
 
 #: one small design per family for the cluster-order property
 ORDER_DESIGNS = {

@@ -109,7 +109,7 @@ class TestNuisanceScore:
         def ll(lam_val):
             return loglik(shape, beta, lam_val, data)
 
-        num = optim.numerical_gradient(ll, float(lam[0]))
+        num = optim.numerical_gradient(ll, lam[:1])[0]
         ana = nuisance_score(shape, beta, lam, data)[0]
         assert abs(num - ana) <= 1e-6 * (1 + abs(ana))
 
@@ -211,7 +211,7 @@ class TestNuisanceObsInfo:
         def ll(v):
             return loglik(shape, beta, v, data)
 
-        h = optim.numerical_hessian(ll, float(lam[0]))[0, 0]
+        h = optim.numerical_hessian(ll, lam[:1])[0, 0]
         ana = nuisance_obs_info(shape, beta, lam, data)[0]
         assert abs(-h - ana) <= 1e-4 * (1 + abs(ana))
 
