@@ -149,12 +149,12 @@ class AR1PanelModel(ClusteredModel):
     def constrained_nuisance(self, psi, data):
         return constrained_lambda(psi[0], data)
 
-    def maximize(self, objective, start, data, modified):
+    def maximize(self, objective, start, data, modified, grad=None):
         """The profile maximizer is the closed-form within least-squares fit.
         The modified objective is maximized in rho alone, the variance at
         RSS/N(T-1), by a bounded search that hill-climbs from the ML rho: the
         relevant maximizer is the local one near it, not the re-increasing
-        branch at large rho."""
+        branch at large rho. Neither search uses ``grad``."""
         if not modified:
             psi = self.initial_psi(data)
             return optim.OptimResult(argmax=psi, value=objective(psi),

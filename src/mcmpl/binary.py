@@ -266,7 +266,10 @@ def fit_missingness_regression(data: ClusteredDataset):
         u = _clamp(x @ gamma)
         return float(np.sum(m * G.log_cdf(u) + (1.0 - m) * G.log_cdf(-u)))
 
-    res = optim.maximize_multivariate(loglik, np.zeros(data.n_covariates))
+    def score(gamma):
+        return x.T @ (m - G.cdf(_clamp(x @ gamma)))
+
+    res = optim.maximize_multivariate(loglik, np.zeros(data.n_covariates), score)
     gamma = np.atleast_1d(np.asarray(res.argmax, dtype=float))
     converged = bool(res.converged)
     if np.any(np.abs(gamma) > GAMMA2_BOUND):
@@ -302,10 +305,17 @@ def make_binary_dataset(responses, covariates, missing=None, unit_mask=None,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _BinaryReplicateBank:
-    miss: np.ndarray          # (R, N, T) missing indicator
-    obs: np.ndarray           # (R, N, T) observed indicator
+class _BinaryDraws:
+    """Raw replicate draws; a replicate's nuisance score is linear in them."""
+
     obs_y: np.ndarray         # (R, N, T) observed response (0 elsewhere)
+    obs: np.ndarray           # (R, N, T) observed indicator
+    miss: np.ndarray          # (R, N, T) missing indicator
+
+
+@dataclass
+class _BinaryReplicateBank:
+    moments: np.ndarray        # (3, N, T) mean_r of obs_y, obs, miss times s_r(psi_hat)
     scores_at_mle: np.ndarray  # (R, N)
 
 
@@ -365,9 +375,9 @@ class BinaryMissingModel(ClusteredModel):
             return (2 * data.n_covariates,)
         return ()
 
-    def maximize(self, objective, start, data, modified):
+    def maximize(self, objective, start, data, modified, grad=None):
         """One search from ``start``, then, under mnar, one probe near the
-        separation wall.
+        separation wall; both searches take ``grad``.
 
         Separation leaves the objective flat in gamma2, and a quasi-Newton
         search stops on that ridge short of the wall. Where the objective
@@ -375,7 +385,7 @@ class BinaryMissingModel(ClusteredModel):
         there, so the estimate reaches the wall and :meth:`bound_hits`
         flags it.
         """
-        res = optim.maximize_multivariate(objective, start)
+        res = optim.maximize_multivariate(objective, start, grad)
         if not self.bound_components(data):
             return res
         wall = np.array(res.argmax, dtype=float)
@@ -383,7 +393,7 @@ class BinaryMissingModel(ClusteredModel):
         probe = objective(wall)
         tie = res.value - optim.F_TOL * (1.0 + abs(res.value))
         if np.isfinite(probe) and probe >= tie:
-            return optim.maximize_multivariate(objective, wall)
+            return optim.maximize_multivariate(objective, wall, grad)
         return res
 
     # -- likelihood pieces ----------------------------------------------------
@@ -444,7 +454,21 @@ class BinaryMissingModel(ClusteredModel):
         return gamma1, 0.0
 
     def build_replicates(self, psi, lam, data, rng, n_replicates):
-        """Two-stage replicates: complete responses, then random deletion."""
+        """Two-stage replicates: complete responses, then random deletion.
+
+        A replicate's nuisance score is linear in its ``obs_y``, ``obs`` and
+        ``miss`` draws, so the bank keeps their (3, N, T) moments
+        ``mean_r(X_r s_r(psi, lam))`` and the (R, N) scores, not the draws.
+        """
+        draws = self._draw_replicates(psi, lam, data, rng, n_replicates)
+        scores = self._replicate_scores(draws, psi, lam, data)
+        moments = np.stack([np.einsum("rnt,rn->nt", x, scores)
+                            for x in (draws.obs_y, draws.obs, draws.miss)])
+        return _BinaryReplicateBank(moments=moments / n_replicates,
+                                    scores_at_mle=scores)
+
+    def _draw_replicates(self, psi, lam, data, rng, n_replicates):
+        """The raw draws of :meth:`build_replicates` from ``rng``."""
         beta, _, _ = self._split(psi, data.n_covariates)
         gamma1, gamma2 = self._deletion_gamma(psi, data)
         eta = _eta(self.link, beta, lam, data)
@@ -458,30 +482,31 @@ class BinaryMissingModel(ClusteredModel):
         valid = data.unit_mask[None]
         miss = np.where(valid, miss, 0.0)
         obs = np.where(valid, 1.0 - miss, 0.0)
-        bank = _BinaryReplicateBank(miss=miss, obs=obs, obs_y=obs * y,
-                                    scores_at_mle=np.empty(0))
-        bank.scores_at_mle = self._replicate_scores(bank, psi, lam, data)
-        return bank
+        return _BinaryDraws(obs_y=obs * y, obs=obs, miss=miss)
 
-    def _replicate_scores(self, bank, psi, lam, data):
-        """Nuisance scores of every replicate at (psi, lam), shape (R, N).
-
-        The per-unit weights depend on the parameters and covariates only,
-        so one (N, T) weight array serves all replicates.
-        """
+    def _score_weights(self, psi, lam, data):
+        """Per-unit weights (3, N, T) of a replicate's nuisance score on its
+        ``obs_y``, ``obs`` and ``miss`` draws; they depend on the parameters
+        and covariates only."""
         beta, gamma1, gamma2 = self._split(psi, data.n_covariates)
         eta = _eta(self.link, beta, lam, data)
         w_obs = np.exp(self.link.log_pdf(eta) - self.link.log_cdf(eta)
                        - self.link.log_cdf(-eta))
-        pi = self.link.cdf(eta)
-        scores = (np.einsum("rnt,nt->rn", bank.obs_y, w_obs)
-                  - np.einsum("rnt,nt->rn", bank.obs, pi * w_obs))
+        w_mis = np.zeros_like(eta)
         if self.mechanism == "mnar":
-            s_mis = _missing_score_weight(self.link, eta,
+            w_mis = _missing_score_weight(self.link, eta,
                                           *_missing_probs(gamma1, gamma2, data))
-            scores = scores + np.einsum("rnt,nt->rn", bank.miss, s_mis)
-        return scores
+        return np.stack([w_obs, -self.link.cdf(eta) * w_obs, w_mis])
+
+    def _replicate_scores(self, draws, psi, lam, data):
+        """Nuisance scores of every raw replicate at (psi, lam), shape (R, N)."""
+        w = self._score_weights(psi, lam, data)
+        return (np.einsum("rnt,nt->rn", draws.obs_y, w[0])
+                + np.einsum("rnt,nt->rn", draws.obs, w[1])
+                + np.einsum("rnt,nt->rn", draws.miss, w[2]))
 
     def replicate_expectation(self, bank, psi, lam_psi, data):
-        scores_psi = self._replicate_scores(bank, psi, lam_psi, data)
-        return (scores_psi * bank.scores_at_mle).mean(axis=0)
+        """Bank mean of the score product: the weights at ``(psi, lam_psi)``
+        against the bank moments, O(NT)."""
+        return np.einsum("knt,knt->n", self._score_weights(psi, lam_psi, data),
+                         bank.moments)

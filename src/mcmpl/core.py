@@ -23,6 +23,10 @@ class NoInformativeClustersError(optim.NumericalFailure):
     """Every cluster of the dataset is non-informative."""
 
 
+class NonFiniteDrawError(optim.NumericalFailure):
+    """A simulated dataset or replicate left the floating-point range."""
+
+
 class NonPositiveSEError(ValueError):
     """A Wald interval was requested with a non-positive standard error."""
 
@@ -222,7 +226,10 @@ class ClusteredModel(ABC):
         """Simulate the replicate bank at the maximum likelihood fit.
 
         The bank carries ``scores_at_mle``, the (R, N) nuisance scores of
-        every replicate at ``(psi, lam)``.
+        every replicate at ``(psi, lam)``, and whatever else
+        :meth:`replicate_expectation` needs: the draws themselves, or
+        sufficient moments of them where a replicate's score is linear in
+        its draws.
         """
 
     @abstractmethod
@@ -237,11 +244,17 @@ class ClusteredModel(ABC):
         """Whether :meth:`exact_expectation` has a closed form for this instance."""
         return False
 
-    def maximize(self, objective, start, data, modified: bool) -> optim.OptimResult:
+    def maximize(self, objective, start, data, modified: bool,
+                 grad=None) -> optim.OptimResult:
         """Maximize the profile (``modified`` False) or the modified objective
         from ``start``; a model with closed-form structure may shortcut it,
-        and a model with a search bound may probe it."""
-        return optim.maximize_multivariate(objective, start)
+        and a model with a search bound may probe it.
+
+        ``grad`` is the objective's :func:`envelope_gradient`: an array, or
+        None where it cannot be formed, and the search then differentiates
+        the objective numerically.
+        """
+        return optim.maximize_multivariate(objective, start, grad)
 
     def bound_hits(self, psi) -> tuple[str, ...]:
         """Warning flags for components of psi pinned at a search bound."""
@@ -276,13 +289,32 @@ def profile_loglik(model: ClusteredModel, data: ClusteredDataset, psi) -> float:
     return float(model.cluster_logliks(psi, lam, data).sum())
 
 
+def _modification(model, data, fit_at_mle, psi, lam, bank):
+    """The modification ``sum_i (0.5 log j_i - log E_i)`` at ``(psi, lam)``.
+
+    The expectation comes from the model's closed form when ``bank`` is
+    None and from the replicate bank otherwise. None whenever the observed
+    information or the expectation is non-positive or non-finite for some
+    cluster, which marks the modification as undefined there.
+    """
+    info = model.nuisance_obs_info(psi, lam, data)
+    if np.any(info <= 0.0) or not np.all(np.isfinite(info)):
+        return None
+    if bank is None:
+        psi_mle, lam_mle = fit_at_mle
+        expect = model.exact_expectation(psi_mle, lam_mle, psi, lam, data)
+    else:
+        expect = model.replicate_expectation(bank, psi, lam, data)
+    if np.any(expect <= 0.0) or not np.all(np.isfinite(expect)):
+        return None
+    return float(0.5 * np.log(info).sum() - np.log(expect).sum())
+
+
 def modified_profile_loglik(model, data, fit_at_mle, psi, bank=None) -> float:
     """Profile log-likelihood plus the score-expectation modification.
 
-    The expectation comes from the model's closed form when ``bank`` is
-    None and from the replicate bank otherwise. Returns ``-inf`` whenever
-    the observed information or the expectation is non-positive for some
-    cluster, which marks the modification as undefined there.
+    Returns ``-inf`` where the profile log-likelihood is not finite or the
+    modification is undefined (see :func:`_modification`).
     """
     if data.n_clusters == 0:
         raise NoInformativeClustersError("no clusters left to profile")
@@ -295,17 +327,62 @@ def modified_profile_loglik(model, data, fit_at_mle, psi, bank=None) -> float:
     lp = float(model.cluster_logliks(psi, lam_psi, data).sum())
     if not np.isfinite(lp):
         return -np.inf
-    info = model.nuisance_obs_info(psi, lam_psi, data)
-    if np.any(info <= 0.0) or not np.all(np.isfinite(info)):
-        return -np.inf
-    if bank is None:
-        psi_mle, lam_mle = fit_at_mle
-        expect = model.exact_expectation(psi_mle, lam_mle, psi, lam_psi, data)
-    else:
-        expect = model.replicate_expectation(bank, psi, lam_psi, data)
-    if np.any(expect <= 0.0) or not np.all(np.isfinite(expect)):
-        return -np.inf
-    return lp + float(0.5 * np.log(info).sum() - np.log(expect).sum())
+    m = _modification(model, data, fit_at_mle, psi, lam_psi, bank)
+    return -np.inf if m is None else lp + m
+
+
+def envelope_gradient(model, data, psi, fit_at_mle=None, bank=None):
+    """Gradient of the profile log-likelihood, or of the modified one when
+    ``fit_at_mle`` is given, from one constrained solve at ``psi``.
+
+    The nuisance score vanishes at lam_psi, so by the envelope theorem the
+    profile part is the psi-derivative of the cluster log-likelihoods at
+    fixed lam_psi. The modification moves with lam_psi as well: by the
+    implicit function theorem d lam_psi / d psi_j is ``v_j = d_psi_j s / j``,
+    and the modification is differenced along the tangent ``(e_j, v_j)``.
+    Every derivative is a central difference with the steps of
+    :func:`optim.numerical_gradient`, at fixed nuisance values, so no
+    further solve is needed.
+
+    Returns None where the gradient cannot be formed: ``psi`` or a stencil
+    point is infeasible, lam_psi or the information at ``psi`` is not
+    finite and positive, or a stencil value is not finite.
+    """
+    if data.n_clusters == 0:
+        raise NoInformativeClustersError("no clusters left to profile")
+    psi = np.atleast_1d(np.asarray(psi, dtype=float))
+    if not model.params_feasible(psi):
+        return None
+    lam = model.constrained_nuisance(psi, data)
+    if not np.all(np.isfinite(lam)):
+        return None
+    modified = fit_at_mle is not None
+    if modified:
+        info = model.nuisance_obs_info(psi, lam, data)
+        if np.any(info <= 0.0) or not np.all(np.isfinite(info)):
+            return None
+    h = optim._steps(psi, 1e-5)
+    grad = np.empty(psi.size)
+    for j in range(psi.size):
+        step = np.zeros(psi.size)
+        step[j] = h[j]
+        up, down = psi + step, psi - step
+        if not (model.params_feasible(up) and model.params_feasible(down)):
+            return None
+        diff = float((model.cluster_logliks(up, lam, data)
+                      - model.cluster_logliks(down, lam, data)).sum())
+        if modified:
+            ds = model.nuisance_score(up, lam, data) - model.nuisance_score(down, lam, data)
+            shift = 0.5 * ds / info  # h_j v_j
+            m_up = _modification(model, data, fit_at_mle, up, lam + shift, bank)
+            m_down = _modification(model, data, fit_at_mle, down, lam - shift, bank)
+            if m_up is None or m_down is None:
+                return None
+            diff += m_up - m_down
+        if not np.isfinite(diff):
+            return None
+        grad[j] = diff / (2.0 * h[j])
+    return grad
 
 
 def profile_stage(model: ClusteredModel, data: ClusteredDataset, psi0=None):
@@ -317,7 +394,8 @@ def profile_stage(model: ClusteredModel, data: ClusteredDataset, psi0=None):
     start = np.atleast_1d(np.asarray(
         model.initial_psi(kept) if psi0 is None else psi0, dtype=float))
     search = model.maximize(lambda psi: profile_loglik(model, kept, psi), start, kept,
-                            modified=False)
+                            modified=False,
+                            grad=lambda psi: envelope_gradient(model, kept, psi))
     return kept, dropped, search
 
 
@@ -327,10 +405,11 @@ def fit(model: ClusteredModel, data: ClusteredDataset, method: str = "mcmpl",
 
     The profile likelihood is always fitted first; its maximizer seeds the
     modified-likelihood search, whose correction is O(1) against the
-    O(NT) likelihood. Both searches run through :meth:`ClusteredModel.maximize`.
-    Standard errors come from the numerical Hessian of the maximized
-    objective itself. ``stage``, a :func:`profile_stage` of the same model
-    and data, replaces the profile search.
+    O(NT) likelihood. Both searches run through :meth:`ClusteredModel.maximize`
+    with the objective's :func:`envelope_gradient`. Standard errors come
+    from the numerical Hessian of the maximized objective itself. ``stage``,
+    a :func:`profile_stage` of the same model and data, replaces the profile
+    search.
     """
     if method not in FIT_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {FIT_METHODS}")
@@ -359,7 +438,10 @@ def fit(model: ClusteredModel, data: ClusteredDataset, method: str = "mcmpl",
 
         def objective(psi):
             return modified_profile_loglik(model, kept, fit_at_mle, psi, bank)
-        opt = model.maximize(objective, psi_mle, kept, modified=True)
+
+        def gradient(psi):
+            return envelope_gradient(model, kept, psi, fit_at_mle, bank)
+        opt = model.maximize(objective, psi_mle, kept, modified=True, grad=gradient)
         if not prof.converged:
             warnings_.append("profile_stage_not_converged")
 

@@ -69,6 +69,11 @@ class ExperimentSpec:
         if self.lambda_generator not in VALID_LAMBDA_GENERATORS:
             raise ValueError(f"unknown lambda generator {self.lambda_generator!r}")
         FAMILIES[self.model].check_spec(self)
+        with np.errstate(over="ignore"):
+            truth = FAMILIES[self.model].truth(self)
+        bad = sorted(name for name, value in truth.items() if not np.isfinite(value))
+        if bad:
+            raise ValueError(f"the design's true {', '.join(bad)} is not finite")
         if not self.methods:
             raise ValueError("at least one method is required")
         for m in self.methods:
@@ -161,7 +166,10 @@ def generate_survival_dataset(spec: ExperimentSpec, rng) -> tuple[ClusteredDatas
     rate = weibull.calibrate_censoring_rate(spec.xi, beta, lam, skeleton,
                                             spec.censoring_share)
     eta = np.exp(-(lam[:, None] + covariates @ beta))
-    fail = rng.standard_exponential((n, t)) ** (1.0 / spec.xi) / eta
+    with np.errstate(over="ignore"):
+        fail = rng.standard_exponential((n, t)) ** (1.0 / spec.xi) / eta
+    if not np.all(np.isfinite(fail) & (fail > 0.0)):
+        raise core.NonFiniteDrawError("failure times overflow or underflow at this xi")
     cens = rng.exponential(1.0 / rate, (n, t))
     times = np.minimum(fail, cens)
     events = (fail <= cens).astype(float)
@@ -177,9 +185,14 @@ def generate_ar1_dataset(spec: ExperimentSpec, rng) -> tuple[ClusteredDataset, d
     sigma = np.sqrt(spec.sigma2)
     y = np.empty((n, t))
     prev = np.zeros(n)
-    for k in range(t):
-        prev = lam + spec.rho * prev + sigma * eps[:, k]
-        y[:, k] = prev
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(t):
+            prev = lam + spec.rho * prev + sigma * eps[:, k]
+            y[:, k] = prev
+        finite = np.isfinite(np.square(y).sum())
+    if not finite:
+        # the least-squares fit sums squares of the series
+        raise core.NonFiniteDrawError("the AR(1) series or its squares overflow")
     data = ar1.make_panel_dataset(y, np.zeros(n))
     return data, _panel_truth(spec)
 

@@ -166,14 +166,18 @@ def _brent_max(f, a, b, x0, f0):
     return x, fx, MAX_ITERS, False
 
 
-def maximize_multivariate(f, x0) -> OptimResult:
-    """Maximize ``f`` from ``x0`` by one BFGS search on numerical gradients.
+def maximize_multivariate(f, x0, grad=None) -> OptimResult:
+    """Maximize ``f`` from ``x0`` by one BFGS search.
 
-    Infeasible (``-inf``) trial points rank below every finite value, and a
-    gradient that cannot be computed there is NaN, so the line search backs
-    off from them. The result is converged when the gradient BFGS computed
-    there is small relative to the objective. A search that ends below
-    ``f(x0)`` returns ``x0``, unconverged.
+    ``grad(x)``, when given, returns the gradient of ``f`` at ``x``, or None
+    where it cannot form one; there, and everywhere without ``grad``, the
+    search takes :func:`numerical_gradient` of ``f``, whose stencils turn
+    one-sided at an infeasible wall. Infeasible (``-inf``) trial points
+    rank below every finite value, and a gradient that cannot be computed
+    there is NaN, so the line search backs off from them. The result is
+    converged when the gradient BFGS computed there is small relative to
+    the objective. A search that ends below ``f(x0)`` returns ``x0``,
+    unconverged.
 
     Raises
     ------
@@ -190,10 +194,13 @@ def maximize_multivariate(f, x0) -> OptimResult:
         return -v if np.isfinite(v) else 1e300
 
     def neg_grad(z):
-        try:
-            return -numerical_gradient(f, z)
-        except NonFiniteEvaluationError:
-            return np.full(z.size, np.nan)
+        g = None if grad is None else grad(z)
+        if g is None:
+            try:
+                g = numerical_gradient(f, z)
+            except NonFiniteEvaluationError:
+                return np.full(z.size, np.nan)
+        return -g
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import optim
-from .core import ClusteredDataset, ClusteredModel, make_dataset
+from .core import ClusteredDataset, ClusteredModel, NonFiniteDrawError, make_dataset
 
 #: log-response placeholder for padded slots; exp(shape * _PAD) == 0
 _PAD = -1e30
@@ -354,7 +354,11 @@ class WeibullSurvivalModel(ClusteredModel):
         log_eta = -(lam[:, None] + data.covariates @ np.asarray(psi[1:], float))
         shape3 = (n_replicates,) + data.responses.shape
         draws = rng.standard_exponential(shape3)
-        new_fail = draws ** (1.0 / shape) * np.exp(-log_eta)[None]
+        with np.errstate(over="ignore"):
+            new_fail = draws ** (1.0 / shape) * np.exp(-log_eta)[None]
+        if not np.all(np.isfinite(new_fail)):
+            raise NonFiniteDrawError("replicate failure times overflow at the fitted "
+                                     "scale and shape")
         u = rng.random(shape3)
         base = np.where(data.unit_mask, data.responses, 1.0)
         cens = np.where((data.indicators == 0.0)[None], base[None],

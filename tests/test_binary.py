@@ -210,7 +210,9 @@ class TestExactExpectation:
         bank = model.build_replicates(fit.psi_hat, lam_mle, data,
                                       mc.generator(0), mc.replicates)
         approx = model.replicate_expectation(bank, psi, lam_psi, data)
-        scores_psi = model._replicate_scores(bank, psi, lam_psi, data)
+        draws = model._draw_replicates(fit.psi_hat, lam_mle, data,
+                                       mc.generator(0), mc.replicates)
+        scores_psi = model._replicate_scores(draws, psi, lam_psi, data)
         products = scores_psi * bank.scores_at_mle
         mc_se = products.std(axis=0, ddof=1) / np.sqrt(mc.replicates)
         assert np.all(np.abs(approx - unconditional) <= 3.5 * mc_se)
@@ -234,9 +236,9 @@ class TestSimulateReplicate:
             np.where(data.indicators == 1, np.nan, data.responses),
             np.abs(data.covariates[:, :, 0]) + 0.1, data.indicators)
         lam = np.zeros(data_pos.n_clusters)
-        bank = model.build_replicates(psi, lam, data_pos, substream(1, 0), 1)
-        assert bank.miss.sum() == 0
-        assert np.array_equal(bank.obs[0], data_pos.unit_mask)
+        draws = model._draw_replicates(psi, lam, data_pos, substream(1, 0), 1)
+        assert draws.miss.sum() == 0
+        assert np.array_equal(draws.obs[0], data_pos.unit_mask)
 
     def test_missing_fraction_binomial_oracle(self):
         data, _ = informative(_sim_mcar(12, 6, seed=9))
@@ -248,8 +250,8 @@ class TestSimulateReplicate:
         zeta = expit(data.covariates @ gamma1)
         expected = zeta[data.unit_mask].mean()
         n_draws = 10_000
-        bank = model.build_replicates(fit.psi_hat, lam, data, substream(2, 0), n_draws)
-        share = bank.miss[:, data.unit_mask].mean()
+        draws = model._draw_replicates(fit.psi_hat, lam, data, substream(2, 0), n_draws)
+        share = draws.miss[:, data.unit_mask].mean()
         n_units = int(data.unit_mask.sum()) * n_draws
         sigma = np.sqrt(expected * (1 - expected) / n_units)
         assert abs(share - expected) <= 4 * sigma
@@ -276,12 +278,40 @@ class TestReplicateScores:
         model = BinaryMissingModel(link=link, mechanism=mechanism)
         psi = np.array([0.8, 1.5, 0.7])[:len(model.param_names(data))]
         lam = rng.normal(size=n)
-        bank = model.build_replicates(psi, lam, data, substream(9, 0), 1)
+        draws = model._draw_replicates(psi, lam, data, substream(9, 0), 1)
         replicate = make_binary_dataset(
-            np.where(bank.miss[0] == 1.0, np.nan, bank.obs_y[0]), x, bank.miss[0])
-        expected = bank.scores_at_mle[0]
+            np.where(draws.miss[0] == 1.0, np.nan, draws.obs_y[0]), x, draws.miss[0])
+        expected = model.build_replicates(psi, lam, data, substream(9, 0), 1).scores_at_mle[0]
         score = model.nuisance_score(psi, lam, replicate)
         assert np.all(np.abs(score - expected) <= 1e-12 * (1.0 + np.abs(expected)))
+
+
+class TestMomentBank:
+    @pytest.mark.parametrize("link", ["logit", "probit"])
+    @pytest.mark.parametrize("mechanism", ["mcar", "mnar"])
+    def test_expectation_matches_raw_draw_mean(self, link, mechanism):
+        # the bank keeps (3, N, T) moments instead of the draws; its
+        # expectation is the raw-draw mean of score products re-summed
+        rng = np.random.default_rng(21)
+        n, t, r = 20, 6, 300
+        x = rng.normal(size=(n, t))
+        miss = (rng.random((n, t)) < 0.3).astype(float)
+        y = (rng.random((n, t)) < 0.5).astype(float)
+        data = make_binary_dataset(np.where(miss == 1, np.nan, y), x, miss)
+        model = BinaryMissingModel(link=link, mechanism=mechanism)
+        k = len(model.param_names(data))
+        psi_mle = np.array([0.8, 1.5, 0.7])[:k]
+        lam_mle = rng.normal(size=n)
+        psi = psi_mle + np.array([0.3, -0.4, 0.5])[:k]
+        lam_psi = lam_mle - 0.2
+        bank = model.build_replicates(psi_mle, lam_mle, data, substream(22, 0), r)
+        draws = model._draw_replicates(psi_mle, lam_mle, data, substream(22, 0), r)
+        at_mle = model._replicate_scores(draws, psi_mle, lam_mle, data)
+        raw = (model._replicate_scores(draws, psi, lam_psi, data) * at_mle).mean(axis=0)
+        moment = model.replicate_expectation(bank, psi, lam_psi, data)
+        assert np.all(np.abs(moment - raw) <= 1e-12 * np.abs(raw))
+        assert np.array_equal(bank.scores_at_mle, at_mle)
+        assert bank.moments.shape == (3, n, t)
 
 
 class TestDropNoninformative:
@@ -325,9 +355,15 @@ class TestMissingnessRegression:
         info = (expit(2.5 * x) * (1 - expit(2.5 * x)) * x ** 2).sum()
         assert abs(gamma[0] - 2.5) <= 3.0 / np.sqrt(info)
 
-    def test_matches_direct_maximization(self):
+    def test_matches_direct_maximization(self, monkeypatch):
         data = _sim_mcar(25, 5, seed=14)
+        numerical = []
+        gradient = optim.numerical_gradient
+        monkeypatch.setattr(optim, "numerical_gradient",
+                            lambda f, x: numerical.append(x) or gradient(f, x))
         gamma, _ = fit_missingness_regression(data)
+        assert not numerical  # the closed-form gradient x'(m - p) serves the search
+        monkeypatch.undo()
         x = data.covariates[data.unit_mask]
         m = data.indicators[data.unit_mask]
 

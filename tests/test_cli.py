@@ -327,6 +327,43 @@ def test_failed_data_draw_exit_one(tmp_path, capsys, command):
     assert not out.exists()
 
 
+#: config values of each extreme-value case; None: a Weibull file instead
+EXTREME_CASES = {
+    "weibull-time-1e308": None,
+    "weibull-xi-9e99": ["model = weibull", "xi = 9e99", "beta = -1.0,1.0", "pc = 0.2"],
+    "weibull-xi-1e-300": ["model = weibull", "xi = 1e-300", "beta = -1.0,1.0", "pc = 0.2"],
+    "ar1-rho-9e99-sigma2-1e300": ["model = ar1", "rho = 9e99", "sigma2 = 1e300"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTREME_CASES))
+def test_extreme_value_exit_one(tmp_path, case):
+    # finite values whose arithmetic leaves the floating-point range end in
+    # one error line, without a RuntimeWarning
+    out = tmp_path / "out.csv"
+    values = EXTREME_CASES[case]
+    if values is None:
+        path, _ = weibull_csv(tmp_path)
+        rows = Path(path).read_text().splitlines()
+        cells = rows[3].split(",")
+        assert cells[3] == "1"  # an event row
+        cells[2] = "1e308"
+        rows[3] = ",".join(cells)
+        Path(path).write_text("\n".join(rows) + "\n")
+        argv = ["fit", "--model", "weibull", "--data", path, "--out", str(out)]
+    else:
+        cfg = write_lines(tmp_path / "exp.cfg", values + [
+            "N = 12", "T = 4", "S = 2", "R = 5", "seed = 3", "methods = profile,mcmpl"])
+        argv = ["simulate", "--config", cfg, "--out", str(out)]
+    err = StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert not caught, [str(w.message) for w in caught]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["fit", "simulate", "trace"])
 def test_out_in_missing_directory_exit_one(tmp_path, capsys, command):
     path, _ = ar1_csv(tmp_path, n=20, t=4)
@@ -438,9 +475,13 @@ class TestEntryPoint:
         assert rows and header[0] == "N"
 
 
-#: one malformed cell: empty, non-finite, out of range, short text, or None
-#: for a dropped field
-MALFORMED = st.one_of(st.sampled_from(["", "nan", "inf", "-inf", "-1", "0", "2", None]),
+#: extreme finite numbers, whose arithmetic may leave the floating-point range
+EXTREME = ["1e308", "-1e308", "9e99", "-9e99", "1e300", "1e-300"]
+
+#: one malformed cell: empty, non-finite, out of range, extreme, short text,
+#: or None for a dropped field
+MALFORMED = st.one_of(st.sampled_from(["", "nan", "inf", "-inf", "-1", "0", "2", None]
+                                      + EXTREME),
                       st.text(st.characters(codec="ascii"), max_size=4))
 
 
@@ -477,9 +518,10 @@ BASE_CONFIGS = {
 
 @pytest.fixture(scope="module")
 def base_datasets(tmp_path_factory):
-    """Rows of a small valid binary and AR(1) dataset file, split into cells."""
+    """Rows of a small valid dataset file of each family, split into cells."""
     tmp = tmp_path_factory.mktemp("base")
-    files = {"binary": binary_csv(tmp, n=8, t=3)[0], "ar1": ar1_csv(tmp, n=6, t=3)[0]}
+    files = {"binary": binary_csv(tmp, n=8, t=3)[0], "ar1": ar1_csv(tmp, n=6, t=3)[0],
+             "weibull": weibull_csv(tmp, n=6, t=4)[0]}
     return {model: [line.split(",") for line in Path(path).read_text().splitlines()]
             for model, path in files.items()}
 
@@ -499,7 +541,7 @@ def _run_malformed(argv):
 
 
 class TestMalformedInput:
-    @pytest.mark.parametrize("model", ["binary", "ar1"])
+    @pytest.mark.parametrize("model", ["binary", "ar1", "weibull"])
     @PROPERTY
     @given(draw=st.data())
     def test_dataset_cell(self, base_datasets, model, draw):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mcmpl import binary, core, optim, weibull
+from mcmpl import ar1, binary, core, harness, optim, weibull
 from mcmpl.core import (
     MonteCarloConfig,
     NoInformativeClustersError,
@@ -282,6 +282,88 @@ class TestFit:
         data = binary.make_binary_dataset(y, np.zeros((2, 2)))
         with pytest.raises(NoInformativeClustersError):
             core.fit(binary.BinaryMissingModel(), data, "profile")
+
+
+#: one small dataset per model family and binary link x mechanism
+GRADIENT_CASES = {
+    "logit-mcar": dict(model="binary", link="logit", mechanism="mcar"),
+    "logit-mnar": dict(model="binary", link="logit", mechanism="mnar",
+                       gamma1=(5.0,), gamma2=1.0),
+    "probit-mcar": dict(model="binary", link="probit", mechanism="mcar"),
+    "probit-mnar": dict(model="binary", link="probit", mechanism="mnar",
+                        gamma1=(5.0,), gamma2=1.0),
+    "weibull": dict(model="weibull", xi=1.5, beta=(-1.0, 1.0), censoring_share=0.2),
+    "ar1": dict(model="ar1", rho=0.5, sigma2=1.0),
+}
+
+
+def gradient_case(name):
+    """(model, kept data, profile fit, fit at the MLE, replicate bank)."""
+    spec = harness.ExperimentSpec(n_clusters=40, t_periods=6, n_trials=2,
+                                  methods=("profile",), seed=31,
+                                  **GRADIENT_CASES[name])
+    data, _ = harness.generate_dataset(spec, substream(spec.seed, 0, 0))
+    model = harness.FAMILIES[spec.model].model(spec.link, spec.mechanism)
+    kept, _ = core.drop_noninformative(model, data)
+    prof = core.fit(model, kept, "profile")
+    fit_at_mle = (prof.psi_hat, model.constrained_nuisance(prof.psi_hat, kept))
+    bank = model.build_replicates(*fit_at_mle, kept, substream(5, 0), 50)
+    return model, kept, prof, fit_at_mle, bank
+
+
+class TestEnvelopeGradient:
+    @pytest.mark.parametrize("name, objective", [
+        (name, objective) for name in sorted(GRADIENT_CASES)
+        for objective in ("profile", "mcmpl", "mpl-exact")
+        if objective != "mpl-exact" or name.endswith("-mcar")])
+    def test_matches_numerical_gradient(self, name, objective):
+        model, kept, prof, fit_at_mle, bank = gradient_case(name)
+        if objective == "profile":
+            fit_at_mle = bank = None
+        elif objective == "mpl-exact":
+            bank = None
+
+        def f(psi):
+            if fit_at_mle is None:
+                return core.profile_loglik(model, kept, psi)
+            return core.modified_profile_loglik(model, kept, fit_at_mle, psi, bank)
+
+        for shift in (0.05, -0.1):
+            psi = prof.psi_hat + shift * np.abs(prof.psi_hat)
+            envelope = core.envelope_gradient(model, kept, psi, fit_at_mle, bank)
+            numeric = optim.numerical_gradient(f, psi)
+            assert np.all(np.abs(envelope - numeric) <= 1e-6 * np.maximum(1.0, np.abs(numeric)))
+
+    @pytest.mark.parametrize("name", sorted(GRADIENT_CASES))
+    def test_profile_gradient_small_at_mle(self, name):
+        model, kept, prof, _, _ = gradient_case(name)
+        grad = core.envelope_gradient(model, kept, prof.psi_hat)
+        lp = core.profile_loglik(model, kept, prof.psi_hat)
+        assert np.linalg.norm(grad) <= optim.GRAD_TOL * (1.0 + abs(lp))
+
+    def test_stencil_across_gamma2_bound_falls_back(self, monkeypatch):
+        model, kept, prof, _, _ = gradient_case("logit-mnar")
+        psi = prof.psi_hat.copy()
+        psi[-1] = binary.GAMMA2_BOUND - 1e-6  # the stencil step is 3e-4 here
+        assert np.isfinite(core.profile_loglik(model, kept, psi))
+        assert core.envelope_gradient(model, kept, psi) is None
+        calls = []
+        numerical_gradient = optim.numerical_gradient
+
+        def counted(f, x):
+            calls.append(x)
+            return numerical_gradient(f, x)
+
+        monkeypatch.setattr(optim, "numerical_gradient", counted)
+        optim.maximize_multivariate(lambda z: core.profile_loglik(model, kept, z), psi,
+                                    lambda z: core.envelope_gradient(model, kept, z))
+        assert calls and np.array_equal(calls[0], psi)
+
+    def test_infeasible_point_has_no_gradient(self):
+        model, kept, _, fit_at_mle, bank = gradient_case("weibull")
+        psi = np.array([-1.0, 0.0, 0.0])
+        assert core.envelope_gradient(model, kept, psi) is None
+        assert core.envelope_gradient(model, kept, psi, fit_at_mle, bank) is None
 
 
 class TestWaldInterval:

@@ -91,6 +91,28 @@ class TestMultivariate:
         grad = numerical_gradient(f, res.argmax)
         assert np.linalg.norm(grad) < 1e-3
 
+    def test_given_gradient_replaces_numerical_one(self, monkeypatch):
+        # a gradient that declines (None) left of 0.5 sends only those points
+        # to numerical_gradient
+        fallback = []
+        numerical = optim.numerical_gradient
+        monkeypatch.setattr(optim, "numerical_gradient",
+                            lambda f, x: fallback.append(x.copy()) or numerical(f, x))
+
+        def f(v):
+            return -(v[0] - 1) ** 2 - (v[1] + 2) ** 2
+
+        def grad(v):
+            return None if v[0] < 0.5 else np.array([-2 * (v[0] - 1), -2 * (v[1] + 2)])
+
+        res = maximize_multivariate(f, np.zeros(2), grad)
+        assert np.allclose(res.argmax, [1.0, -2.0], atol=1e-6)
+        assert res.converged
+        assert fallback and all(x[0] < 0.5 for x in fallback)
+        fallback.clear()
+        maximize_multivariate(f, np.array([0.6, 0.0]), grad)
+        assert not fallback
+
     def test_constant(self):
         res = maximize_multivariate(lambda v: 3.5, np.array([0.7, -0.2]))
         assert np.allclose(res.argmax, [0.7, -0.2])
