@@ -62,10 +62,11 @@ def ols_fit(data: ClusteredDataset):
 
     Returns (rho_hat, sigma2_hat, lam_hat); raises
     :class:`DegenerateDesignError` when the lagged response shows no
-    within-cluster variation.
+    within-cluster variation; :func:`optim.check_scale` rejects a huge series.
     """
     y = data.responses
     ylag = _lagged(data)
+    optim.check_scale((y, ylag), "AR(1) series values")
     n, t_len = y.shape
     ybar = y.mean(axis=1)
     lagbar = ylag.mean(axis=1)

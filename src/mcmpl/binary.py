@@ -100,7 +100,8 @@ class ProbitLink(Link):
 
 LOGIT = LogitLink()
 PROBIT = ProbitLink()
-_LINKS = {"logit": LOGIT, "probit": PROBIT}
+#: the link functions by name
+LINKS = {"logit": LOGIT, "probit": PROBIT}
 
 #: the missingness probability always uses the logistic CDF
 G = LOGIT
@@ -110,7 +111,7 @@ def get_link(link) -> Link:
     if isinstance(link, Link):
         return link
     try:
-        return _LINKS[link]
+        return LINKS[link]
     except KeyError:
         raise ValueError(f"unknown link {link!r}; expected logit or probit") from None
 

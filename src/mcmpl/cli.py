@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import core, harness, io
+from . import binary, core, harness, io
 from .core import MonteCarloConfig
 
 
@@ -24,13 +24,13 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="mcmpl",
         description="Monte Carlo modified profile likelihood for clustered data")
     sub = parser.add_subparsers(dest="command", required=True)
+    mechanisms = harness.FAMILIES["binary"].mechanisms
 
     fit_p = sub.add_parser("fit", help="fit one dataset file")
     fit_p.add_argument("--model", required=True, choices=tuple(harness.FAMILIES))
-    fit_p.add_argument("--link", default="logit", choices=("logit", "probit"))
-    fit_p.add_argument("--mechanism", default="mcar", choices=("mcar", "mnar"))
-    fit_p.add_argument("--method", default="mcmpl",
-                       choices=("profile", "mpl-exact", "mcmpl"))
+    fit_p.add_argument("--link", default="logit", choices=tuple(binary.LINKS))
+    fit_p.add_argument("--mechanism", default="mcar", choices=mechanisms)
+    fit_p.add_argument("--method", default="mcmpl", choices=core.FIT_METHODS)
     fit_p.add_argument("--data", required=True)
     fit_p.add_argument("--replicates", type=int, default=500)
     fit_p.add_argument("--seed", type=int, default=core.DEFAULT_SEED)
@@ -46,8 +46,8 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument("--model", choices=tuple(harness.FAMILIES))
     trace_p.add_argument("--data")
     trace_p.add_argument("--config")
-    trace_p.add_argument("--link", default="logit", choices=("logit", "probit"))
-    trace_p.add_argument("--mechanism", default="mcar", choices=("mcar", "mnar"))
+    trace_p.add_argument("--link", default="logit", choices=tuple(binary.LINKS))
+    trace_p.add_argument("--mechanism", default="mcar", choices=mechanisms)
     trace_p.add_argument("--param", required=True)
     trace_p.add_argument("--grid", required=True, metavar="LO:HI:STEP")
     trace_p.add_argument("--replicates", type=int, default=500)

@@ -272,19 +272,24 @@ def drop_noninformative(model: ClusteredModel, data: ClusteredDataset):
     return (data if dropped == 0 else data.subset(mask)), dropped
 
 
-def profile_loglik(model: ClusteredModel, data: ClusteredDataset, psi) -> float:
-    """Sum of cluster log-likelihoods at the constrained nuisance estimates.
-
-    Returns ``-inf`` when psi is infeasible or some constrained estimate is
-    non-finite (a cluster that should have been dropped).
-    """
+def _constrained(model: ClusteredModel, data: ClusteredDataset, psi):
+    """``(psi, lam_psi)`` with psi as an array; lam_psi is None where psi is
+    infeasible or some constrained estimate is non-finite (a cluster that
+    should have been dropped), and every objective is undefined there."""
     if data.n_clusters == 0:
         raise NoInformativeClustersError("no clusters left to profile")
     psi = np.atleast_1d(np.asarray(psi, dtype=float))
     if not model.params_feasible(psi):
-        return -np.inf
+        return psi, None
     lam = model.constrained_nuisance(psi, data)
-    if not np.all(np.isfinite(lam)):
+    return psi, lam if np.all(np.isfinite(lam)) else None
+
+
+def profile_loglik(model: ClusteredModel, data: ClusteredDataset, psi) -> float:
+    """Sum of cluster log-likelihoods at the constrained nuisance estimates;
+    ``-inf`` where :func:`_constrained` finds none."""
+    psi, lam = _constrained(model, data, psi)
+    if lam is None:
         return -np.inf
     return float(model.cluster_logliks(psi, lam, data).sum())
 
@@ -316,13 +321,8 @@ def modified_profile_loglik(model, data, fit_at_mle, psi, bank=None) -> float:
     Returns ``-inf`` where the profile log-likelihood is not finite or the
     modification is undefined (see :func:`_modification`).
     """
-    if data.n_clusters == 0:
-        raise NoInformativeClustersError("no clusters left to profile")
-    psi = np.atleast_1d(np.asarray(psi, dtype=float))
-    if not model.params_feasible(psi):
-        return -np.inf
-    lam_psi = model.constrained_nuisance(psi, data)
-    if not np.all(np.isfinite(lam_psi)):
+    psi, lam_psi = _constrained(model, data, psi)
+    if lam_psi is None:
         return -np.inf
     lp = float(model.cluster_logliks(psi, lam_psi, data).sum())
     if not np.isfinite(lp):
@@ -348,13 +348,8 @@ def envelope_gradient(model, data, psi, fit_at_mle=None, bank=None):
     point is infeasible, lam_psi or the information at ``psi`` is not
     finite and positive, or a stencil value is not finite.
     """
-    if data.n_clusters == 0:
-        raise NoInformativeClustersError("no clusters left to profile")
-    psi = np.atleast_1d(np.asarray(psi, dtype=float))
-    if not model.params_feasible(psi):
-        return None
-    lam = model.constrained_nuisance(psi, data)
-    if not np.all(np.isfinite(lam)):
+    psi, lam = _constrained(model, data, psi)
+    if lam is None:
         return None
     modified = fit_at_mle is not None
     if modified:
@@ -385,14 +380,14 @@ def envelope_gradient(model, data, psi, fit_at_mle=None, bank=None):
     return grad
 
 
-def profile_stage(model: ClusteredModel, data: ClusteredDataset, psi0=None):
-    """Drop non-informative clusters and maximize the profile likelihood:
-    ``(kept data, number dropped, search result)``."""
+def profile_stage(model: ClusteredModel, data: ClusteredDataset):
+    """Drop non-informative clusters and maximize the profile likelihood from
+    the model's initial psi: ``(kept data, number dropped, search result)``.
+    :func:`fit` and :func:`trace_curves` start from it."""
     kept, dropped = drop_noninformative(model, data)
     if kept.n_clusters == 0:
         raise NoInformativeClustersError("all clusters are non-informative")
-    start = np.atleast_1d(np.asarray(
-        model.initial_psi(kept) if psi0 is None else psi0, dtype=float))
+    start = np.atleast_1d(np.asarray(model.initial_psi(kept), dtype=float))
     search = model.maximize(lambda psi: profile_loglik(model, kept, psi), start, kept,
                             modified=False,
                             grad=lambda psi: envelope_gradient(model, kept, psi))
@@ -506,16 +501,15 @@ def wald_interval(fit_result: FitResult, component: int, level: float = 0.95) ->
 
 def trace_curves(model: ClusteredModel, data: ClusteredDataset, mc: MonteCarloConfig,
                  param: str, grid):
-    """Curves in one interest component, maximizing over the others."""
-    kept, _ = drop_noninformative(model, data)
-    if kept.n_clusters == 0:
-        raise NoInformativeClustersError("no informative clusters")
-    names = model.param_names(kept)
+    """Curves in one interest component, maximizing over the others from the
+    :func:`profile_stage` maximizer, at which the replicate bank is drawn."""
+    names = model.param_names(data)
     if param not in names:
         raise ValueError(f"unknown parameter {param!r}; choices: {', '.join(names)}")
     k = names.index(param)
-    prof = fit(model, kept, "profile", mc)
-    fit_at_mle = (prof.psi_hat, prof.lambda_hat)
+    kept, _, prof = profile_stage(model, data)
+    psi_mle = np.atleast_1d(np.asarray(prof.argmax, dtype=float))
+    fit_at_mle = (psi_mle, model.constrained_nuisance(psi_mle, kept))
     bank = model.build_replicates(*fit_at_mle, kept, mc.generator(0), mc.replicates)
     free = [j for j in range(len(names)) if j != k]
 
@@ -544,7 +538,7 @@ def trace_curves(model: ClusteredModel, data: ClusteredDataset, mc: MonteCarloCo
         return modified_profile_loglik(model, kept, fit_at_mle, psi, bank)
 
     lp_curve, lm_curve = [], []
-    rest_p = rest_m = prof.psi_hat[free]
+    rest_p = rest_m = psi_mle[free]
     for value in grid:
         val_p, rest_p = maximize_rest(lp, value, rest_p)
         val_m, rest_m = maximize_rest(lm, value, rest_m)

@@ -217,6 +217,18 @@ def maximize_multivariate(f, x0, grad=None) -> OptimResult:
                        converged=_small_gradient(res.jac, value), iterations=res.nit)
 
 
+def check_scale(values, what: str) -> None:
+    """Raise :class:`NumericalFailure` where the square of the sum of squares
+    of ``values`` overflows: a fit linear in them meets that order in its
+    squared gradient norms and in the squared Hessian step of a variance."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ss = np.square(values).sum()
+        finite = np.isfinite(ss * ss)
+    if not finite:
+        raise NumericalFailure(f"{what} too large: the square of their sum of "
+                               "squares overflows")
+
+
 def _small_gradient(grad, value) -> bool:
     """The convergence test: gradient norm scaled by the objective's size."""
     return float(np.linalg.norm(grad)) <= GRAD_TOL * (1.0 + abs(value))

@@ -242,21 +242,21 @@ def calibrate_censoring_rate(shape, beta, lam, data: ClusteredDataset,
     if not 0.0 < target_pc < 1.0:
         raise ValueError("target censoring proportion must lie in (0, 1)")
     lam = np.broadcast_to(np.atleast_1d(np.asarray(lam, float)), (data.n_clusters,))
-    log_eta = -(lam[:, None] + data.covariates @ np.atleast_1d(beta))
-    log_eta = log_eta[data.unit_mask]
-
     y, w = _half_line_rule()
-    # survivor factor averaged over units, independent of the rate
-    with np.errstate(over="ignore"):
+    # a huge design value leaves the bracket below without a finite end
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_eta = -(lam[:, None] + data.covariates @ np.atleast_1d(beta))
+        log_eta = log_eta[data.unit_mask]
+        # survivor factor averaged over units, independent of the rate
         surv = np.exp(-np.exp(shape * (log_eta[:, None] + np.log(y)[None]))).mean(axis=0)
+        scale = np.exp(np.median(log_eta))  # 1/median Weibull scale
 
     def censored_share(rate):
         return float(np.sum(w * surv * rate * np.exp(-rate * y))) - target_pc
 
-    scale = np.exp(np.median(log_eta))  # 1/median Weibull scale
     hi = 1e3 * scale
     lo = 1e-12 * scale
-    if censored_share(hi) < 0.0 or censored_share(lo) > 0.0:
+    if not np.isfinite(hi) or censored_share(hi) < 0.0 or censored_share(lo) > 0.0:
         raise NoSolutionInBracketError(
             f"no rate in ({lo:g}, {hi:g}) reaches censoring share {target_pc}")
     return float(brentq(censored_share, lo, hi, xtol=1e-10, rtol=1e-12, maxiter=200))
@@ -305,9 +305,10 @@ class WeibullSurvivalModel(ClusteredModel):
         return bool(np.all(np.isfinite(psi)) and psi[0] > 0.0)
 
     def informative_mask(self, data):
-        # the first model call of a fit: validate the times once here, not
-        # on every likelihood evaluation
+        # the first model call of a fit: validate the times and the scale of
+        # the covariates once here, not on every likelihood evaluation
         _check_times(data)
+        optim.check_scale(data.covariates[data.unit_mask], "covariate values")
         return np.where(data.unit_mask, data.indicators, 0.0).sum(axis=1) >= 1.0
 
     def cluster_logliks(self, psi, lam, data):

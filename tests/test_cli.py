@@ -327,9 +327,18 @@ def test_failed_data_draw_exit_one(tmp_path, capsys, command):
     assert not out.exists()
 
 
-#: config values of each extreme-value case; None: a Weibull file instead
+#: each extreme-value case: the config values of a study, or the family,
+#: column and value of one cell of a small dataset file (its third data row,
+#: an event row of the Weibull file and a t=2 row of the AR(1) file)
 EXTREME_CASES = {
-    "weibull-time-1e308": None,
+    "weibull-time-1e308": ("weibull", "time", "1e308"),
+    "weibull-x1-1e308": ("weibull", "x1", "1e308"),
+    "weibull-x1--1e308": ("weibull", "x1", "-1e308"),
+    "weibull-x2-1e308": ("weibull", "x2", "1e308"),
+    "weibull-x2--1e308": ("weibull", "x2", "-1e308"),
+    "ar1-y-1e308": ("ar1", "y", "1e308"),
+    "ar1-y--1e308": ("ar1", "y", "-1e308"),
+    "ar1-y-9e99": ("ar1", "y", "9e99"),
     "weibull-xi-9e99": ["model = weibull", "xi = 9e99", "beta = -1.0,1.0", "pc = 0.2"],
     "weibull-xi-1e-300": ["model = weibull", "xi = 1e-300", "beta = -1.0,1.0", "pc = 0.2"],
     "ar1-rho-9e99-sigma2-1e300": ["model = ar1", "rho = 9e99", "sigma2 = 1e300"],
@@ -342,15 +351,18 @@ def test_extreme_value_exit_one(tmp_path, case):
     # one error line, without a RuntimeWarning
     out = tmp_path / "out.csv"
     values = EXTREME_CASES[case]
-    if values is None:
-        path, _ = weibull_csv(tmp_path)
+    if isinstance(values, tuple):
+        kind, column, value = values
+        path, _ = {"weibull": weibull_csv, "ar1": ar1_csv}[kind](tmp_path)
         rows = Path(path).read_text().splitlines()
         cells = rows[3].split(",")
-        assert cells[3] == "1"  # an event row
-        cells[2] = "1e308"
+        header = rows[0].split(",")
+        assert kind != "weibull" or cells[header.index("event")] == "1"
+        assert kind != "ar1" or cells[header.index("t")] == "2"
+        cells[header.index(column)] = value
         rows[3] = ",".join(cells)
         Path(path).write_text("\n".join(rows) + "\n")
-        argv = ["fit", "--model", "weibull", "--data", path, "--out", str(out)]
+        argv = ["fit", "--model", kind, "--data", path, "--out", str(out)]
     else:
         cfg = write_lines(tmp_path / "exp.cfg", values + [
             "N = 12", "T = 4", "S = 2", "R = 5", "seed = 3", "methods = profile,mcmpl"])
@@ -362,6 +374,25 @@ def test_extreme_value_exit_one(tmp_path, case):
     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
     assert not caught, [str(w.message) for w in caught]
     assert not out.exists()
+
+
+#: design values that drive the data draw or the metrics out of the
+#: floating-point range; the study ends on any exit code without a warning
+EXTREME_DESIGNS = {
+    "binary-beta-1e308": ["model = binary", "beta = 1e308"],
+    "binary-beta--1e308": ["model = binary", "beta = -1e308"],
+    "binary-gamma1-1e308": ["model = binary", "gamma1 = 1e308"],
+    "binary-gamma1--1e308": ["model = binary", "gamma1 = -1e308"],
+    "weibull-beta2-1e50": ["model = weibull", "beta = -1.0,1e50", "pc = 0.2"],
+    "weibull-beta2-1e308": ["model = weibull", "beta = -1.0,1e308", "pc = 0.2"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTREME_DESIGNS))
+def test_extreme_design_value_without_warning(tmp_path, case):
+    cfg = write_lines(tmp_path / "exp.cfg", EXTREME_DESIGNS[case] + [
+        "N = 12", "T = 4", "S = 2", "R = 5", "seed = 3", "methods = profile"])
+    _run_malformed(["simulate", "--config", cfg, "--out", str(tmp_path / "m.csv")])
 
 
 @pytest.mark.parametrize("command", ["fit", "simulate", "trace"])
@@ -527,17 +558,17 @@ def base_datasets(tmp_path_factory):
 
 
 def _run_malformed(argv):
-    """Run ``main``; it returns 0, 1 or 2, and 1 comes with exactly one
-    ``error:`` line on stderr (a warning would print there too)."""
+    """Run ``main``; it returns 0, 1 or 2 without a warning, and 1 comes with
+    exactly one ``error:`` line on stderr."""
     err = StringIO()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
         warnings.simplefilter("always")
         code = main(argv)
     assert code in (0, 1, 2)
+    assert not caught, [str(w.message) for w in caught]
     if code == 1:
         text = err.getvalue()
         assert text.startswith("error: ") and text.count("\n") == 1, text
-        assert not caught, [str(w.message) for w in caught]
 
 
 class TestMalformedInput:

@@ -25,6 +25,13 @@ def binary_spec(**overrides):
     return ExperimentSpec(**base)
 
 
+def _tiny_mnar_spec():
+    # trial 1 of this draw fails its mcmpl fit
+    return binary_spec(n_clusters=12, t_periods=4, n_trials=2, replicates=5,
+                       seed=3, mechanism="mnar", gamma2=2.0,
+                       methods=("mcar:profile", "mnar:mcmpl"))
+
+
 #: the survival design a Weibull spec needs besides its sizes
 WEIBULL_DESIGN = dict(model="weibull", beta=(-1.0, 1.0), censoring_share=0.2)
 
@@ -289,8 +296,8 @@ class TestRunExperiment:
         assert [row.n_failed_trials for row in result.rows] == [1]
 
     def test_failed_tiny_mnar_fit_stays_cheap(self, monkeypatch):
-        # trial 1 of this draw fails its mcmpl fit and its perturbed-start
-        # retry; each search ends in a few hundred objective evaluations
+        # the failed mcmpl fit ends its searches in a few dozen objective
+        # evaluations
         calls = []
         real = core.modified_profile_loglik
 
@@ -299,12 +306,23 @@ class TestRunExperiment:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(core, "modified_profile_loglik", counting)
-        spec = binary_spec(n_clusters=12, t_periods=4, n_trials=2, replicates=5,
-                           seed=3, mechanism="mnar", gamma2=2.0,
-                           methods=("mcar:profile", "mnar:mcmpl"))
-        outcome = harness.run_trial(spec, 1)
+        outcome = harness.run_trial(_tiny_mnar_spec(), 1)
         assert outcome.estimates["mnar:mcmpl"] is None
         assert len(calls) < 2000
+
+    def test_failed_fit_is_not_refit(self, monkeypatch):
+        # one fit per method: a failed fit counts as a failed trial
+        methods = []
+        real = core.fit
+
+        def counting(model, data, method, *args, **kwargs):
+            methods.append(method)
+            return real(model, data, method, *args, **kwargs)
+
+        monkeypatch.setattr(core, "fit", counting)
+        outcome = harness.run_trial(_tiny_mnar_spec(), 1)
+        assert outcome.estimates["mnar:mcmpl"] is None
+        assert methods == ["profile", "mcmpl"]
 
 
 #: one small design per family for the cluster-order property
