@@ -67,19 +67,15 @@ def ols_fit(data: ClusteredDataset):
     y = data.responses
     ylag = _lagged(data)
     optim.check_scale((y, ylag), "AR(1) series values")
-    n, t_len = y.shape
-    ybar = y.mean(axis=1)
+    t_len = y.shape[1]
     lagbar = ylag.mean(axis=1)
     denom = (ylag ** 2).sum() - t_len * (lagbar ** 2).sum()
     scale = max((ylag ** 2).sum(), 1.0)
     if abs(denom) <= 1e-12 * scale:
         raise DegenerateDesignError("no within-cluster variation in the lag")
-    num = (y * ylag).sum() - t_len * (ybar * lagbar).sum()
-    rho = num / denom
-    lam = ybar - rho * lagbar
-    resid = y - lam[:, None] - rho * ylag
-    sigma2 = float((resid ** 2).sum() / (n * t_len))
-    return float(rho), sigma2, lam
+    num = (y * ylag).sum() - t_len * (y.mean(axis=1) * lagbar).sum()
+    rho = float(num / denom)
+    return rho, constrained_sigma2(rho, data), constrained_lambda(rho, data)
 
 
 def constrained_sigma2(rho, data: ClusteredDataset, divisor: str = "NT") -> float:
@@ -213,12 +209,11 @@ def trace_curves(model, data: ClusteredDataset, mc: MonteCarloConfig, param, gri
     if param != "rho":
         raise ValueError("AR(1) traces support --param rho")
     psi_mle = model.initial_psi(data)
-    lam_mle = model.constrained_nuisance(psi_mle, data)
-    bank = model.build_replicates(psi_mle, lam_mle, data, mc.generator(0),
-                                  mc.replicates)
+    bank = model.build_replicates(psi_mle, model.constrained_nuisance(psi_mle, data),
+                                  data, mc.generator(0), mc.replicates)
     lp, lm = [], []
     for rho in grid:
         lp.append(core.profile_loglik(model, data, _with_sigma2(rho, data, "NT")))
         lm.append(core.modified_profile_loglik(
-            model, data, (psi_mle, lam_mle), _with_sigma2(rho, data, "N(T-1)"), bank))
+            model, data, bank, _with_sigma2(rho, data, "N(T-1)")))
     return lp, lm

@@ -317,7 +317,7 @@ class _BinaryDraws:
 @dataclass
 class _BinaryReplicateBank:
     moments: np.ndarray        # (3, N, T) mean_r of obs_y, obs, miss times s_r(psi_hat)
-    scores_at_mle: np.ndarray  # (R, N)
+    scores_at_mle: np.ndarray  # (R, N); (0, N) in the exact bank
 
 
 class BinaryMissingModel(ClusteredModel):
@@ -423,24 +423,22 @@ class BinaryMissingModel(ClusteredModel):
     def has_exact_expectation(self):
         return self.mechanism == "mcar"
 
-    def exact_expectation(self, psi_mle, lam_mle, psi, lam_psi, data):
-        """Closed-form MCAR expectation of the two-point score product.
-
-        Conditions on the recorded units of each cluster. With the logit
-        link it reduces to the fit-only sum of variances pi_hat (1 - pi_hat)
-        and is constant in ``psi``.
+    def exact_bank(self, psi, lam, data):
+        """The exact bank under MCAR, conditional on the recorded units: a
+        replicate score has mean zero there, so the moments are
+        ``(obs f(eta_hat), 0, 0)``, and against :meth:`_score_weights` they
+        give ``sum_t obs f(eta_hat) f(eta) / (F (1 - F))``. With the logit
+        link that is the fit-only sum of variances pi_hat (1 - pi_hat).
         """
         if self.mechanism != "mcar":
             raise NotImplementedError("closed form exists under MCAR only")
-        beta_mle, _, _ = self._split(psi_mle, data.n_covariates)
-        beta, _, _ = self._split(psi, data.n_covariates)
         obs, _ = _masks(data)
-        eta_b = _eta(self.link, beta, lam_psi, data)
-        eta_hat = _eta(self.link, beta_mle, lam_mle, data)
-        log_b = (self.link.log_pdf(eta_b) - self.link.log_cdf(eta_b)
-                 - self.link.log_cdf(-eta_b))
-        terms = np.where(obs, np.exp(log_b + self.link.log_pdf(eta_hat)), 0.0)
-        return terms.sum(axis=1)
+        beta, _, _ = self._split(psi, data.n_covariates)
+        f_hat = np.where(obs, np.exp(self.link.log_pdf(_eta(self.link, beta, lam, data))),
+                         0.0)
+        zero = np.zeros_like(f_hat)
+        return _BinaryReplicateBank(moments=np.stack([f_hat, zero, zero]),
+                                    scores_at_mle=np.empty((0, data.n_clusters)))
 
     # -- replicate machinery ----------------------------------------------------
 
@@ -460,6 +458,8 @@ class BinaryMissingModel(ClusteredModel):
         A replicate's nuisance score is linear in its ``obs_y``, ``obs`` and
         ``miss`` draws, so the bank keeps their (3, N, T) moments
         ``mean_r(X_r s_r(psi, lam))`` and the (R, N) scores, not the draws.
+        :meth:`exact_bank` holds their expectations, conditional on the
+        recorded units, instead of the replicate means.
         """
         draws = self._draw_replicates(psi, lam, data, rng, n_replicates)
         scores = self._replicate_scores(draws, psi, lam, data)

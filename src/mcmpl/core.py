@@ -14,7 +14,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import optim
 
@@ -229,19 +229,22 @@ class ClusteredModel(ABC):
         every replicate at ``(psi, lam)``, and whatever else
         :meth:`replicate_expectation` needs: the draws themselves, or
         sufficient moments of them where a replicate's score is linear in
-        its draws.
+        its draws. :meth:`exact_bank` is a bank of the same type that holds
+        exact expectations in place of the replicate means.
         """
 
     @abstractmethod
     def replicate_expectation(self, bank, psi, lam_psi, data) -> np.ndarray:
         """Per-cluster mean over the bank of the two-point score product."""
 
-    def exact_expectation(self, psi_mle, lam_mle, psi, lam_psi, data) -> np.ndarray:
+    def exact_bank(self, psi, lam, data):
+        """A bank at the maximum likelihood fit ``(psi, lam)`` whose
+        :meth:`replicate_expectation` is the exact expectation."""
         raise NotImplementedError(
             f"{type(self).__name__} supplies no exact expectation formula")
 
     def has_exact_expectation(self) -> bool:
-        """Whether :meth:`exact_expectation` has a closed form for this instance."""
+        """Whether :meth:`exact_bank` has a closed form for this instance."""
         return False
 
     def maximize(self, objective, start, data, modified: bool,
@@ -294,29 +297,27 @@ def profile_loglik(model: ClusteredModel, data: ClusteredDataset, psi) -> float:
     return float(model.cluster_logliks(psi, lam, data).sum())
 
 
-def _modification(model, data, fit_at_mle, psi, lam, bank):
-    """The modification ``sum_i (0.5 log j_i - log E_i)`` at ``(psi, lam)``.
+def _modification(model, data, psi, lam, bank):
+    """The modification ``sum_i (0.5 log j_i - log E_i)`` at ``(psi, lam)``,
+    with ``E_i`` the bank's expectation, replicate or exact.
 
-    The expectation comes from the model's closed form when ``bank`` is
-    None and from the replicate bank otherwise. None whenever the observed
-    information or the expectation is non-positive or non-finite for some
-    cluster, which marks the modification as undefined there.
+    None whenever the observed information or the expectation is
+    non-positive or non-finite for some cluster, which marks the
+    modification as undefined there.
     """
     info = model.nuisance_obs_info(psi, lam, data)
     if np.any(info <= 0.0) or not np.all(np.isfinite(info)):
         return None
-    if bank is None:
-        psi_mle, lam_mle = fit_at_mle
-        expect = model.exact_expectation(psi_mle, lam_mle, psi, lam, data)
-    else:
-        expect = model.replicate_expectation(bank, psi, lam, data)
+    expect = model.replicate_expectation(bank, psi, lam, data)
     if np.any(expect <= 0.0) or not np.all(np.isfinite(expect)):
         return None
     return float(0.5 * np.log(info).sum() - np.log(expect).sum())
 
 
-def modified_profile_loglik(model, data, fit_at_mle, psi, bank=None) -> float:
-    """Profile log-likelihood plus the score-expectation modification.
+def modified_profile_loglik(model, data, bank, psi) -> float:
+    """Profile log-likelihood plus the score-expectation modification over
+    ``bank`` (from :meth:`ClusteredModel.build_replicates` or
+    :meth:`ClusteredModel.exact_bank`).
 
     Returns ``-inf`` where the profile log-likelihood is not finite or the
     modification is undefined (see :func:`_modification`).
@@ -327,13 +328,13 @@ def modified_profile_loglik(model, data, fit_at_mle, psi, bank=None) -> float:
     lp = float(model.cluster_logliks(psi, lam_psi, data).sum())
     if not np.isfinite(lp):
         return -np.inf
-    m = _modification(model, data, fit_at_mle, psi, lam_psi, bank)
+    m = _modification(model, data, psi, lam_psi, bank)
     return -np.inf if m is None else lp + m
 
 
-def envelope_gradient(model, data, psi, fit_at_mle=None, bank=None):
-    """Gradient of the profile log-likelihood, or of the modified one when
-    ``fit_at_mle`` is given, from one constrained solve at ``psi``.
+def envelope_gradient(model, data, psi, bank=None):
+    """Gradient of the profile log-likelihood, or of the modified one over
+    ``bank`` when one is given, from one constrained solve at ``psi``.
 
     The nuisance score vanishes at lam_psi, so by the envelope theorem the
     profile part is the psi-derivative of the cluster log-likelihoods at
@@ -351,7 +352,7 @@ def envelope_gradient(model, data, psi, fit_at_mle=None, bank=None):
     psi, lam = _constrained(model, data, psi)
     if lam is None:
         return None
-    modified = fit_at_mle is not None
+    modified = bank is not None
     if modified:
         info = model.nuisance_obs_info(psi, lam, data)
         if np.any(info <= 0.0) or not np.all(np.isfinite(info)):
@@ -369,8 +370,8 @@ def envelope_gradient(model, data, psi, fit_at_mle=None, bank=None):
         if modified:
             ds = model.nuisance_score(up, lam, data) - model.nuisance_score(down, lam, data)
             shift = 0.5 * ds / info  # h_j v_j
-            m_up = _modification(model, data, fit_at_mle, up, lam + shift, bank)
-            m_down = _modification(model, data, fit_at_mle, down, lam - shift, bank)
+            m_up = _modification(model, data, up, lam + shift, bank)
+            m_down = _modification(model, data, down, lam - shift, bank)
             if m_up is None or m_down is None:
                 return None
             diff += m_up - m_down
@@ -400,8 +401,10 @@ def fit(model: ClusteredModel, data: ClusteredDataset, method: str = "mcmpl",
 
     The profile likelihood is always fitted first; its maximizer seeds the
     modified-likelihood search, whose correction is O(1) against the
-    O(NT) likelihood. Both searches run through :meth:`ClusteredModel.maximize`
-    with the objective's :func:`envelope_gradient`. Standard errors come
+    O(NT) likelihood. The correction is taken over one bank built at that
+    maximizer: the replicate bank (mcmpl) or the exact one (mpl-exact).
+    Both searches run through :meth:`ClusteredModel.maximize` with the
+    objective's :func:`envelope_gradient`. Standard errors come
     from the numerical Hessian of the maximized objective itself. ``stage``,
     a :func:`profile_stage` of the same model and data, replaces the profile
     search.
@@ -425,17 +428,17 @@ def fit(model: ClusteredModel, data: ClusteredDataset, method: str = "mcmpl",
     else:
         psi_mle = np.atleast_1d(np.asarray(prof.argmax, dtype=float))
         lam_mle = model.constrained_nuisance(psi_mle, kept)
-        fit_at_mle = (psi_mle, lam_mle)
-        bank = None
         if method == "mcmpl":
             bank = model.build_replicates(psi_mle, lam_mle, kept,
                                           mc.generator(0), mc.replicates)
+        else:
+            bank = model.exact_bank(psi_mle, lam_mle, kept)
 
         def objective(psi):
-            return modified_profile_loglik(model, kept, fit_at_mle, psi, bank)
+            return modified_profile_loglik(model, kept, bank, psi)
 
         def gradient(psi):
-            return envelope_gradient(model, kept, psi, fit_at_mle, bank)
+            return envelope_gradient(model, kept, psi, bank)
         opt = model.maximize(objective, psi_mle, kept, modified=True, grad=gradient)
         if not prof.converged:
             warnings_.append("profile_stage_not_converged")
@@ -494,7 +497,7 @@ def wald_interval(fit_result: FitResult, component: int, level: float = 0.95) ->
     se = float(fit_result.std_errors[component])
     if not se > 0.0:
         raise NonPositiveSEError(f"standard error {se} is not positive")
-    z = norm.ppf(0.5 * (1.0 + level))
+    z = ndtri(0.5 * (1.0 + level))
     est = float(fit_result.psi_hat[component])
     return WaldInterval(lo=est - z * se, hi=est + z * se, level=level)
 
@@ -509,8 +512,8 @@ def trace_curves(model: ClusteredModel, data: ClusteredDataset, mc: MonteCarloCo
     k = names.index(param)
     kept, _, prof = profile_stage(model, data)
     psi_mle = np.atleast_1d(np.asarray(prof.argmax, dtype=float))
-    fit_at_mle = (psi_mle, model.constrained_nuisance(psi_mle, kept))
-    bank = model.build_replicates(*fit_at_mle, kept, mc.generator(0), mc.replicates)
+    bank = model.build_replicates(psi_mle, model.constrained_nuisance(psi_mle, kept),
+                                  kept, mc.generator(0), mc.replicates)
     free = [j for j in range(len(names)) if j != k]
 
     def embed(value, rest):
@@ -535,7 +538,7 @@ def trace_curves(model: ClusteredModel, data: ClusteredDataset, mc: MonteCarloCo
         return profile_loglik(model, kept, psi)
 
     def lm(psi):
-        return modified_profile_loglik(model, kept, fit_at_mle, psi, bank)
+        return modified_profile_loglik(model, kept, bank, psi)
 
     lp_curve, lm_curve = [], []
     rest_p = rest_m = psi_mle[free]

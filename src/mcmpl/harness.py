@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import norm
+from scipy.special import expit, ndtri
 
 from . import ar1, binary, core, optim, weibull
 from .core import ClusteredDataset, MonteCarloConfig, substream
@@ -341,7 +340,7 @@ def compute_metrics(estimates, ses, truth: float, method: str = "",
     s = est.size
     if s < 2:
         raise InsufficientTrialsError("need at least two usable trials")
-    z = norm.ppf(0.975)
+    z = ndtri(0.975)
     # a NaN standard error covers nothing; a huge truth gives infinite metrics
     with np.errstate(over="ignore", invalid="ignore"):
         err = est - truth

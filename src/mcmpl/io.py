@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from . import core
 from .harness import FAMILIES, ExperimentSpec
@@ -266,7 +266,7 @@ def read_config(path) -> ExperimentSpec:
 
 def write_fit_results(path, fit: core.FitResult, level: float,
                       seed: int, replicates: int, extra_rows=()) -> None:
-    z_crit = norm.ppf(0.5 * (1.0 + level))
+    z_crit = ndtri(0.5 * (1.0 + level))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["method", "parameter", "estimate", "std_error",
@@ -278,7 +278,7 @@ def write_fit_results(path, fit: core.FitResult, level: float,
         for name, est, se in rows:
             if np.isfinite(se) and se > 0:
                 z = est / se
-                pval = 2.0 * norm.sf(abs(z))
+                pval = 2.0 * ndtr(-abs(z))
                 lo, hi = est - z_crit * se, est + z_crit * se
             else:
                 z = pval = lo = hi = np.nan

@@ -16,6 +16,10 @@ from scipy.special import expit
 from mcmpl import ar1, binary, core, harness, io, weibull
 from mcmpl.core import substream
 
+#: every test here is a study or a property suite; ``-m "not acceptance"``
+#: runs the unit suite alone
+pytestmark = pytest.mark.acceptance
+
 ACCEPTANCE_SEED = 20260809
 TRIALS = 500
 REPLICATES = 200

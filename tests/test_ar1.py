@@ -243,8 +243,7 @@ class TestFitBounded:
                                       mc.replicates)
 
         def lm(psi):
-            return core.modified_profile_loglik(model, data, (psi_mle, lam),
-                                                psi, bank)
+            return core.modified_profile_loglik(model, data, bank, psi)
 
         # the oracle is a derivative-free simplex: a quasi-Newton step from
         # psi_mle can land past the local maximum, on the re-increasing

@@ -160,7 +160,8 @@ class TestExactExpectation:
         model = BinaryMissingModel()
         fit = core.fit(model, data, "profile")
         lam = model.constrained_nuisance(fit.psi_hat, data)
-        vals = model.exact_expectation(fit.psi_hat, lam, fit.psi_hat, lam, data)
+        vals = model.replicate_expectation(model.exact_bank(fit.psi_hat, lam, data),
+                                           fit.psi_hat, lam, data)
         info = model.nuisance_obs_info(fit.psi_hat, lam, data)
         assert vals == pytest.approx(info, rel=1e-10)
 
@@ -168,8 +169,9 @@ class TestExactExpectation:
         # phi(0)^2 / (Phi(0)(1 - Phi(0))) = (0.39894...)^2 / 0.25
         data = make_binary_dataset(np.array([[1.0]]), np.array([[0.0]]))
         zero = np.zeros(1)
-        val = BinaryMissingModel(link="probit").exact_expectation(
-            zero, zero, zero, zero, data)[0]
+        model = BinaryMissingModel(link="probit")
+        val = model.replicate_expectation(model.exact_bank(zero, zero, data),
+                                          zero, zero, data)[0]
         assert val == pytest.approx(norm.pdf(0.0) ** 2 / 0.25, abs=1e-6)
         assert val == pytest.approx(0.63662, abs=1e-5)
 
@@ -178,15 +180,42 @@ class TestExactExpectation:
         model = BinaryMissingModel()
         fit = core.fit(model, data, "profile")
         lam_mle = model.constrained_nuisance(fit.psi_hat, data)
+        bank = model.exact_bank(fit.psi_hat, lam_mle, data)
         rng = substream(3, 0)
         reference = None
         for _ in range(5):
             psi = fit.psi_hat + rng.normal(scale=0.8)
             lam_psi = model.constrained_nuisance(psi, data)
-            vals = model.exact_expectation(fit.psi_hat, lam_mle, psi, lam_psi, data)
+            vals = model.replicate_expectation(bank, psi, lam_psi, data)
             if reference is None:
                 reference = vals
             assert vals == pytest.approx(reference, rel=1e-10)
+
+    @pytest.mark.parametrize("link", ["logit", "probit"])
+    def test_exact_bank_matches_closed_form(self, link):
+        # the closed form written out: sum_t obs f(eta_hat) f(eta) / (F (1 - F))
+        data, _ = informative(_sim_mcar(30, 5, seed=9))
+        model = BinaryMissingModel(link=link)
+        cdf = expit if link == "logit" else ndtr
+        pdf = (lambda e: expit(e) * expit(-e)) if link == "logit" else norm.pdf
+        fit = core.fit(model, data, "profile")
+        lam_mle = model.constrained_nuisance(fit.psi_hat, data)
+        bank = model.exact_bank(fit.psi_hat, lam_mle, data)
+        obs = data.unit_mask & (data.indicators == 0.0)
+        f_hat = pdf(lam_mle[:, None] + data.covariates @ fit.psi_hat)
+        rng = substream(12, 0)
+        for _ in range(5):
+            psi = fit.psi_hat + rng.normal(scale=0.5, size=1)
+            lam_psi = model.constrained_nuisance(psi, data)
+            eta = lam_psi[:, None] + data.covariates @ psi
+            closed = np.where(obs, f_hat * pdf(eta) / (cdf(eta) * cdf(-eta)), 0.0)
+            vals = model.replicate_expectation(bank, psi, lam_psi, data)
+            assert vals == pytest.approx(closed.sum(axis=1), rel=1e-12)
+
+    def test_mnar_has_no_exact_bank(self):
+        data, _ = informative(_sim_mcar(10, 4, seed=2), MNAR)
+        with pytest.raises(NotImplementedError):
+            MNAR.exact_bank(np.zeros(3), np.zeros(data.n_clusters), data)
 
     def test_matches_monte_carlo_at_large_r(self):
         # the replicate scheme deletes units anew each replicate, so the MC

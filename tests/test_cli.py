@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import os
 import subprocess
 import sys
 import tempfile
@@ -504,6 +505,17 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         header, rows = read_table(out)
         assert rows and header[0] == "N"
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        # scipy.stats costs about half a second and 20 MB at import; the
+        # package needs only the normal quantile and tail of scipy.special
+        src = str(Path(core.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, mcmpl.cli; "
+             "print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 #: extreme finite numbers, whose arithmetic may leave the floating-point range

@@ -134,7 +134,7 @@ class TestMCExpectation:
 class _ExactEqualsInfoModel(binary.BinaryMissingModel):
     """Artificial model whose exact expectation equals the observed info."""
 
-    def exact_expectation(self, psi_mle, lam_mle, psi, lam_psi, data):
+    def replicate_expectation(self, bank, psi, lam_psi, data):
         return self.nuisance_obs_info(psi, lam_psi, data)
 
 
@@ -147,7 +147,8 @@ class TestModifiedProfile:
         psi = fit.psi_hat + 0.3
         lam_psi = model.constrained_nuisance(psi, data)
         lp = core.profile_loglik(model, data, psi)
-        lm = core.modified_profile_loglik(model, data, (fit.psi_hat, lam_mle), psi)
+        lm = core.modified_profile_loglik(
+            model, data, model.exact_bank(fit.psi_hat, lam_mle, data), psi)
         info = model.nuisance_obs_info(psi, lam_psi, data)
         assert lm - lp == pytest.approx(-0.5 * np.log(info).sum(), rel=1e-12)
 
@@ -156,13 +157,13 @@ class TestModifiedProfile:
         model = binary.BinaryMissingModel()
         fit = core.fit(model, data, "profile")
         lam_mle = model.constrained_nuisance(fit.psi_hat, data)
-        mle = (fit.psi_hat, lam_mle)
+        bank = model.exact_bank(fit.psi_hat, lam_mle, data)
 
         def parts(psi):
             psi = np.asarray(psi)
             lam = model.constrained_nuisance(psi, data)
             lp = core.profile_loglik(model, data, psi)
-            lm = core.modified_profile_loglik(model, data, mle, psi)
+            lm = core.modified_profile_loglik(model, data, bank, psi)
             half_log_j = 0.5 * np.log(model.nuisance_obs_info(psi, lam, data)).sum()
             return lm - lp - half_log_j
 
@@ -180,8 +181,7 @@ class TestModifiedProfile:
 
         model.replicate_expectation = lambda bank, psi, lam, d: np.full(
             data.n_clusters, -1.0)
-        val = core.modified_profile_loglik(model, data, (fit.psi_hat, lam_mle),
-                                           fit.psi_hat, NegativeBank())
+        val = core.modified_profile_loglik(model, data, NegativeBank(), fit.psi_hat)
         assert val == -np.inf
 
 
@@ -298,7 +298,7 @@ GRADIENT_CASES = {
 
 
 def gradient_case(name):
-    """(model, kept data, profile fit, fit at the MLE, replicate bank)."""
+    """(model, kept data, profile fit, replicate bank, exact bank or None)."""
     spec = harness.ExperimentSpec(n_clusters=40, t_periods=6, n_trials=2,
                                   methods=("profile",), seed=31,
                                   **GRADIENT_CASES[name])
@@ -306,9 +306,11 @@ def gradient_case(name):
     model = harness.FAMILIES[spec.model].model(spec.link, spec.mechanism)
     kept, _ = core.drop_noninformative(model, data)
     prof = core.fit(model, kept, "profile")
-    fit_at_mle = (prof.psi_hat, model.constrained_nuisance(prof.psi_hat, kept))
-    bank = model.build_replicates(*fit_at_mle, kept, substream(5, 0), 50)
-    return model, kept, prof, fit_at_mle, bank
+    lam_mle = model.constrained_nuisance(prof.psi_hat, kept)
+    bank = model.build_replicates(prof.psi_hat, lam_mle, kept, substream(5, 0), 50)
+    exact = (model.exact_bank(prof.psi_hat, lam_mle, kept)
+             if model.has_exact_expectation() else None)
+    return model, kept, prof, bank, exact
 
 
 class TestEnvelopeGradient:
@@ -317,20 +319,20 @@ class TestEnvelopeGradient:
         for objective in ("profile", "mcmpl", "mpl-exact")
         if objective != "mpl-exact" or name.endswith("-mcar")])
     def test_matches_numerical_gradient(self, name, objective):
-        model, kept, prof, fit_at_mle, bank = gradient_case(name)
+        model, kept, prof, bank, exact = gradient_case(name)
         if objective == "profile":
-            fit_at_mle = bank = None
-        elif objective == "mpl-exact":
             bank = None
+        elif objective == "mpl-exact":
+            bank = exact
 
         def f(psi):
-            if fit_at_mle is None:
+            if bank is None:
                 return core.profile_loglik(model, kept, psi)
-            return core.modified_profile_loglik(model, kept, fit_at_mle, psi, bank)
+            return core.modified_profile_loglik(model, kept, bank, psi)
 
         for shift in (0.05, -0.1):
             psi = prof.psi_hat + shift * np.abs(prof.psi_hat)
-            envelope = core.envelope_gradient(model, kept, psi, fit_at_mle, bank)
+            envelope = core.envelope_gradient(model, kept, psi, bank)
             numeric = optim.numerical_gradient(f, psi)
             assert np.all(np.abs(envelope - numeric) <= 1e-6 * np.maximum(1.0, np.abs(numeric)))
 
@@ -360,10 +362,10 @@ class TestEnvelopeGradient:
         assert calls and np.array_equal(calls[0], psi)
 
     def test_infeasible_point_has_no_gradient(self):
-        model, kept, _, fit_at_mle, bank = gradient_case("weibull")
+        model, kept, _, bank, _ = gradient_case("weibull")
         psi = np.array([-1.0, 0.0, 0.0])
         assert core.envelope_gradient(model, kept, psi) is None
-        assert core.envelope_gradient(model, kept, psi, fit_at_mle, bank) is None
+        assert core.envelope_gradient(model, kept, psi, bank) is None
 
 
 class TestWaldInterval:
