@@ -105,6 +105,10 @@ class _AR1ReplicateBank:
     lag_sums: np.ndarray       # (R, N) sum_t y_{t-1}
     scores_at_mle: np.ndarray  # (R, N)
     t_len: int
+    # (N,) replicate means of scores_at_mle times resp_sums, 1 and lag_sums
+    resp_moment: np.ndarray
+    score_mean: np.ndarray
+    lag_moment: np.ndarray
 
 
 class AR1PanelModel(ClusteredModel):
@@ -182,18 +186,19 @@ class AR1PanelModel(ClusteredModel):
         lam_terms = t_len * lam[None]
         scores = (resp_sums - lam_terms - rho * lag_sums) / max(sigma2, SIGMA2_FLOOR)
         return _AR1ReplicateBank(resp_sums=resp_sums, lag_sums=lag_sums,
-                                 scores_at_mle=scores, t_len=t_len)
+                                 scores_at_mle=scores, t_len=t_len,
+                                 resp_moment=(resp_sums * scores).mean(axis=0),
+                                 score_mean=scores.mean(axis=0),
+                                 lag_moment=(lag_sums * scores).mean(axis=0))
 
     def replicate_expectation(self, bank, psi, lam_psi, data):
         """Score-product mean; the replicate score at a candidate point is
-        linear in the cached per-replicate sums, so no per-unit pass is
-        needed."""
+        linear in the per-replicate sums, so the bank's moments of them give
+        it in O(N)."""
         rho, sigma2 = float(psi[0]), float(psi[1])
         lam_psi = np.asarray(lam_psi, dtype=float)
-        s = bank.scores_at_mle
-        raw = ((bank.resp_sums * s).mean(axis=0)
-               - bank.t_len * lam_psi * s.mean(axis=0)
-               - rho * (bank.lag_sums * s).mean(axis=0))
+        raw = (bank.resp_moment - bank.t_len * lam_psi * bank.score_mean
+               - rho * bank.lag_moment)
         return raw / max(sigma2, SIGMA2_FLOOR)
 
 

@@ -227,10 +227,11 @@ class ClusteredModel(ABC):
 
         The bank carries ``scores_at_mle``, the (R, N) nuisance scores of
         every replicate at ``(psi, lam)``, and whatever else
-        :meth:`replicate_expectation` needs: the draws themselves, or
-        sufficient moments of them where a replicate's score is linear in
-        its draws. :meth:`exact_bank` is a bank of the same type that holds
-        exact expectations in place of the replicate means.
+        :meth:`replicate_expectation` needs: sufficient moments of the draws
+        where a replicate's score is linear in them, or the draws themselves
+        with their moments per shape value where it is not (Weibull).
+        :meth:`exact_bank` is a bank of the same type that holds exact
+        expectations in place of the replicate means.
         """
 
     @abstractmethod

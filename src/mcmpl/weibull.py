@@ -9,7 +9,7 @@ Carlo modification available without parametric censoring assumptions.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
@@ -273,22 +273,70 @@ def make_survival_dataset(times, events, covariates, unit_mask=None,
     return data
 
 
+def _log_eta(psi, lam, data):
+    """-(lam + x beta) per unit, 0 in padded slots."""
+    lam = np.broadcast_to(np.atleast_1d(np.asarray(lam, float)), (data.n_clusters,))
+    return np.where(data.unit_mask,
+                    -(lam[:, None] + data.covariates @ np.asarray(psi[1:], float)), 0.0)
+
+
 def _pow_sums(psi, lam, data):
     """Per-cluster sum over units of (eta y)^shape."""
-    beta = np.atleast_1d(np.asarray(psi[1:], dtype=float))
-    lam = np.broadcast_to(np.atleast_1d(np.asarray(lam, float)), (data.n_clusters,))
     log_eta_y = np.where(data.unit_mask,
-                         np.log(data.responses) - (lam[:, None] + data.covariates @ beta),
-                         _PAD)
+                         np.log(data.responses) + _log_eta(psi, lam, data), _PAD)
     with np.errstate(over="ignore"):
         return np.exp(psi[0] * log_eta_y).sum(axis=1)
 
 
+def _replicate_scores(log_times, event_sums, psi, lam, data):
+    """(R, N) nuisance scores of replicates at ``(psi, lam)``."""
+    shape = float(psi[0])
+    with np.errstate(over="ignore"):
+        pow_sum = np.exp(shape * (log_times + _log_eta(psi, lam, data)[None])).sum(axis=2)
+    return shape * (pow_sum - event_sums)
+
+
+#: shape values whose replicate moments a bank keeps: a stencil's centre and sides
+_MOMENT_MEMO = 3
+
+
 @dataclass
 class _WeibullReplicateBank:
+    """Replicate log times and events with their scores at the fit.
+
+    A replicate's score at ``(shape, beta, lam)`` is
+    ``shape * (sum_t exp(shape * (l_t + e_t)) - d)`` with ``e = -(lam + x beta)``,
+    so its product with the score at the fit, averaged over replicates,
+    factors into ``exp(shape * (e - e_mle))`` times the (N, T) moment
+    ``mean_r exp(shape * (l_rt + e_mle_t)) * scores_at_mle_r``. That moment
+    depends on the shape alone, and ``moments`` keeps it for the last few
+    shape values seen.
+    """
+
     log_times: np.ndarray      # (R, N, T), padded to _PAD
     event_sums: np.ndarray     # (R, N)
     scores_at_mle: np.ndarray  # (R, N)
+    eta_mle: np.ndarray        # (N, T) -(lam + x beta) at the fit, 0 in padding
+    event_moment: np.ndarray   # (N,) mean_r event_sums * scores_at_mle
+    moments: dict = field(default_factory=dict, repr=False)  # shape -> (N, T)
+
+    def moment(self, shape: float) -> np.ndarray:
+        """``mean_r exp(shape * (log_times + eta_mle)) * scores_at_mle``,
+        from the memo when ``shape`` was among the last ones asked for."""
+        m = self.moments.pop(shape, None)
+        if m is None:
+            if len(self.moments) >= _MOMENT_MEMO:
+                del self.moments[next(iter(self.moments))]
+            a = self.log_times + self.eta_mle
+            # far from the fit the exp overflows; the expectation is then
+            # non-finite and the modification undefined there
+            with np.errstate(over="ignore", invalid="ignore"):
+                a *= shape
+                np.exp(a, out=a)
+                a *= self.scores_at_mle[:, :, None]
+            m = a.mean(axis=0)
+        self.moments[shape] = m
+        return m
 
 
 class WeibullSurvivalModel(ClusteredModel):
@@ -313,14 +361,12 @@ class WeibullSurvivalModel(ClusteredModel):
 
     def cluster_logliks(self, psi, lam, data):
         """Censored log-likelihood of each cluster."""
-        shape, beta = psi[0], psi[1:]
+        shape = psi[0]
         if not shape > 0.0:
             raise NonPositiveShapeError(f"shape {shape} must be positive")
-        lam = np.broadcast_to(np.atleast_1d(np.asarray(lam, float)), (data.n_clusters,))
         delta = np.where(data.unit_mask, data.indicators, 0.0)
         d_tot = delta.sum(axis=1)
-        log_eta = np.where(data.unit_mask,
-                           -(lam[:, None] + data.covariates @ np.atleast_1d(beta)), 0.0)
+        log_eta = _log_eta(psi, lam, data)
         logy = np.where(data.unit_mask, np.log(data.responses), 0.0)
         with np.errstate(over="ignore"):
             pow_sum = np.where(data.unit_mask,
@@ -368,21 +414,24 @@ class WeibullSurvivalModel(ClusteredModel):
         events = np.where(data.unit_mask[None], (new_fail <= cens).astype(float), 0.0)
         with np.errstate(divide="ignore"):
             log_times = np.where(data.unit_mask[None], np.log(times), _PAD)
-        bank = _WeibullReplicateBank(log_times=log_times,
-                                     event_sums=events.sum(axis=2),
-                                     scores_at_mle=np.empty(0))
-        bank.scores_at_mle = self._replicate_scores(bank, psi, lam, data)
-        return bank
+        event_sums = events.sum(axis=2)
+        scores = _replicate_scores(log_times, event_sums, psi, lam, data)
+        return _WeibullReplicateBank(log_times=log_times, event_sums=event_sums,
+                                     scores_at_mle=scores,
+                                     eta_mle=_log_eta(psi, lam, data),
+                                     event_moment=(event_sums * scores).mean(axis=0))
 
     def _replicate_scores(self, bank, psi, lam, data):
-        shape = float(psi[0])
-        log_eta = np.where(data.unit_mask,
-                           -(np.asarray(lam, float)[:, None]
-                             + data.covariates @ np.asarray(psi[1:], float)), 0.0)
-        with np.errstate(over="ignore"):
-            pow_sum = np.exp(shape * (bank.log_times + log_eta[None])).sum(axis=2)
-        return shape * (pow_sum - bank.event_sums)
+        """(R, N) nuisance scores of the bank's replicates at ``(psi, lam)``."""
+        return _replicate_scores(bank.log_times, bank.event_sums, psi, lam, data)
 
     def replicate_expectation(self, bank, psi, lam_psi, data):
-        scores_psi = self._replicate_scores(bank, psi, lam_psi, data)
-        return (scores_psi * bank.scores_at_mle).mean(axis=0)
+        """Mean over the bank of the score product, through the bank's
+        per-shape moment: one (R, N, T) pass per new shape, O(NT) after."""
+        shape = float(psi[0])
+        ratio = _log_eta(psi, lam_psi, data) - bank.eta_mle
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratio *= shape
+            np.exp(ratio, out=ratio)
+            ratio *= bank.moment(shape)
+            return shape * (ratio.sum(axis=1) - bank.event_moment)

@@ -499,9 +499,12 @@ class TestEntryPoint:
             "model = ar1", "N = 20", "T = 4", "S = 2", "R = 30", "seed = 2",
             "rho = 0.5", "sigma2 = 1.0", "methods = profile"])
         out = str(tmp_path / "m.csv")
+        # the child imports the package under test, installed or not
+        src = str(Path(core.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-m", "mcmpl", "simulate",
                                "--config", cfg, "--out", out],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
         assert proc.returncode == 0, proc.stderr
         header, rows = read_table(out)
         assert rows and header[0] == "N"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -350,6 +352,53 @@ class TestMcExpectation:
         s_psi = 1.4 * ((times * np.exp(-lam_psi[0])) ** 1.4).sum(axis=1) - 1.4 * d
         s_mle = 1.0 * ((times * np.exp(-0.3)) ** 1.0).sum(axis=1) - 1.0 * d
         assert got == pytest.approx((s_psi * s_mle).mean(), rel=1e-12)
+
+    @staticmethod
+    def ragged_fit(seed):
+        rng = np.random.default_rng(seed)
+        data, *_ = random_survival(rng, n=12, t=6)
+        mask = data.unit_mask.copy()
+        mask[::3, 4:] = False
+        data = make_survival_dataset(np.where(mask, data.responses, np.nan),
+                                     data.indicators, data.covariates, unit_mask=mask)
+        model = WeibullSurvivalModel()
+        data, _ = core.drop_noninformative(model, data)
+        fit = core.fit(model, data, "profile")
+        lam = model.constrained_nuisance(fit.psi_hat, data)
+        bank = model.build_replicates(fit.psi_hat, lam, data, substream(6, 0), 50)
+        return rng, model, data, fit.psi_hat, bank
+
+    def test_moment_bank_matches_replicate_scores(self):
+        rng, model, data, psi_mle, bank = self.ragged_fit(17)
+        assert not data.unit_mask.all()
+        for _ in range(5):
+            psi = psi_mle * rng.uniform(0.8, 1.2, psi_mle.size)
+            lam_psi = model.constrained_nuisance(psi, data)
+            got = model.replicate_expectation(bank, psi, lam_psi, data)
+            want = (model._replicate_scores(bank, psi, lam_psi, data)
+                    * bank.scores_at_mle).mean(axis=0)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_memo_keeps_values_and_stays_small(self):
+        _, model, data, psi_mle, bank = self.ragged_fit(18)
+        psi1 = psi_mle * np.array([1.05, 0.9, 1.1])
+        first = core.modified_profile_loglik(model, data, bank, psi1)
+        for k, factor in enumerate((0.8, 0.9, 1.1, 1.2, 1.3)):
+            psi = psi_mle * np.array([factor, 1.0 + 0.1 * k, 1.0])
+            core.modified_profile_loglik(model, data, bank, psi)
+            assert len(bank.moments) <= 3
+        assert core.modified_profile_loglik(model, data, bank, psi1) == first
+        assert len(bank.moments) <= 3
+
+    def test_far_points_without_warning(self):
+        _, model, data, _, bank = self.ragged_fit(19)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the last two overflow the replicate moment: -inf, still quiet
+            for psi in ([50.0, 0.0, 0.0], [1.0, 50.0, -50.0], [50.0, -50.0, 50.0],
+                        [1000.0, 0.0, 0.0], [1000.0, 50.0, -50.0]):
+                assert isinstance(core.modified_profile_loglik(model, data, bank, psi),
+                                  float)
 
     def test_two_seed_consistency(self):
         rng = np.random.default_rng(13)
