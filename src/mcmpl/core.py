@@ -103,9 +103,6 @@ class ClusteredDataset:
             cluster_labels=labels,
         )
 
-    def cluster(self, i: int) -> "ClusteredDataset":
-        return self.subset([i])
-
 
 def make_dataset(responses, covariates=None, indicators=None, unit_mask=None,
                  initial_conditions=None, cluster_labels=None) -> ClusteredDataset:
@@ -276,7 +273,22 @@ def drop_noninformative(model: ClusteredModel, data: ClusteredDataset):
     return (data if dropped == 0 else data.subset(mask)), dropped
 
 
-def _constrained(model: ClusteredModel, data: ClusteredDataset, psi):
+def _solve(model: ClusteredModel, data: ClusteredDataset, psi: np.ndarray, solves=None):
+    """``model.constrained_nuisance(psi, data)``, read from ``solves`` when
+    given: the memo of a :class:`ProfileStage`, which maps ``psi.tobytes()``
+    to a read-only solve, so that no caller can change a value another one
+    reads later."""
+    if solves is None:
+        return model.constrained_nuisance(psi, data)
+    key = psi.tobytes()
+    lam = solves.get(key)
+    if lam is None:
+        lam = solves[key] = model.constrained_nuisance(psi, data)
+        lam.setflags(write=False)
+    return lam
+
+
+def _constrained(model: ClusteredModel, data: ClusteredDataset, psi, solves=None):
     """``(psi, lam_psi)`` with psi as an array; lam_psi is None where psi is
     infeasible or some constrained estimate is non-finite (a cluster that
     should have been dropped), and every objective is undefined there."""
@@ -285,14 +297,16 @@ def _constrained(model: ClusteredModel, data: ClusteredDataset, psi):
     psi = np.atleast_1d(np.asarray(psi, dtype=float))
     if not model.params_feasible(psi):
         return psi, None
-    lam = model.constrained_nuisance(psi, data)
+    lam = _solve(model, data, psi, solves)
     return psi, lam if np.all(np.isfinite(lam)) else None
 
 
-def profile_loglik(model: ClusteredModel, data: ClusteredDataset, psi) -> float:
+def profile_loglik(model: ClusteredModel, data: ClusteredDataset, psi, *,
+                   solves=None) -> float:
     """Sum of cluster log-likelihoods at the constrained nuisance estimates;
-    ``-inf`` where :func:`_constrained` finds none."""
-    psi, lam = _constrained(model, data, psi)
+    ``-inf`` where :func:`_constrained` finds none. ``solves`` is the memo
+    of a :class:`ProfileStage` on ``data``."""
+    psi, lam = _constrained(model, data, psi, solves)
     if lam is None:
         return -np.inf
     return float(model.cluster_logliks(psi, lam, data).sum())
@@ -315,15 +329,15 @@ def _modification(model, data, psi, lam, bank):
     return float(0.5 * np.log(info).sum() - np.log(expect).sum())
 
 
-def modified_profile_loglik(model, data, bank, psi) -> float:
+def modified_profile_loglik(model, data, bank, psi, *, solves=None) -> float:
     """Profile log-likelihood plus the score-expectation modification over
     ``bank`` (from :meth:`ClusteredModel.build_replicates` or
-    :meth:`ClusteredModel.exact_bank`).
+    :meth:`ClusteredModel.exact_bank`); ``solves`` as in :func:`profile_loglik`.
 
     Returns ``-inf`` where the profile log-likelihood is not finite or the
     modification is undefined (see :func:`_modification`).
     """
-    psi, lam_psi = _constrained(model, data, psi)
+    psi, lam_psi = _constrained(model, data, psi, solves)
     if lam_psi is None:
         return -np.inf
     lp = float(model.cluster_logliks(psi, lam_psi, data).sum())
@@ -333,9 +347,10 @@ def modified_profile_loglik(model, data, bank, psi) -> float:
     return -np.inf if m is None else lp + m
 
 
-def envelope_gradient(model, data, psi, bank=None):
+def envelope_gradient(model, data, psi, bank=None, *, solves=None):
     """Gradient of the profile log-likelihood, or of the modified one over
-    ``bank`` when one is given, from one constrained solve at ``psi``.
+    ``bank`` when one is given, from one constrained solve at ``psi``, read
+    from ``solves`` as in :func:`profile_loglik`.
 
     The nuisance score vanishes at lam_psi, so by the envelope theorem the
     profile part is the psi-derivative of the cluster log-likelihoods at
@@ -350,7 +365,7 @@ def envelope_gradient(model, data, psi, bank=None):
     point is infeasible, lam_psi or the information at ``psi`` is not
     finite and positive, or a stencil value is not finite.
     """
-    psi, lam = _constrained(model, data, psi)
+    psi, lam = _constrained(model, data, psi, solves)
     if lam is None:
         return None
     modified = bank is not None
@@ -382,18 +397,34 @@ def envelope_gradient(model, data, psi, bank=None):
     return grad
 
 
-def profile_stage(model: ClusteredModel, data: ClusteredDataset):
+@dataclass(frozen=True)
+class ProfileStage:
+    """The informative clusters, the number dropped and the profile search
+    over them, with ``solves``, the memo of every constrained solve made on
+    them, keyed by ``psi.tobytes()``. Each search, gradient, standard error
+    and ``lambda_hat`` of a fit started from the stage reads it, so each psi
+    is solved once."""
+
+    data: ClusteredDataset
+    dropped: int
+    search: optim.OptimResult
+    solves: dict
+
+
+def profile_stage(model: ClusteredModel, data: ClusteredDataset) -> ProfileStage:
     """Drop non-informative clusters and maximize the profile likelihood from
-    the model's initial psi: ``(kept data, number dropped, search result)``.
-    :func:`fit` and :func:`trace_curves` start from it."""
+    the model's initial psi. :func:`fit` and :func:`trace_curves` start from
+    the stage."""
     kept, dropped = drop_noninformative(model, data)
     if kept.n_clusters == 0:
         raise NoInformativeClustersError("all clusters are non-informative")
+    solves = {}
     start = np.atleast_1d(np.asarray(model.initial_psi(kept), dtype=float))
-    search = model.maximize(lambda psi: profile_loglik(model, kept, psi), start, kept,
-                            modified=False,
-                            grad=lambda psi: envelope_gradient(model, kept, psi))
-    return kept, dropped, search
+    search = model.maximize(lambda psi: profile_loglik(model, kept, psi, solves=solves),
+                            start, kept, modified=False,
+                            grad=lambda psi: envelope_gradient(model, kept, psi,
+                                                               solves=solves))
+    return ProfileStage(kept, dropped, search, solves)
 
 
 def fit(model: ClusteredModel, data: ClusteredDataset, method: str = "mcmpl",
@@ -408,7 +439,7 @@ def fit(model: ClusteredModel, data: ClusteredDataset, method: str = "mcmpl",
     objective's :func:`envelope_gradient`. Standard errors come
     from the numerical Hessian of the maximized objective itself. ``stage``,
     a :func:`profile_stage` of the same model and data, replaces the profile
-    search.
+    search; every constrained solve of the fit goes through its memo.
     """
     if method not in FIT_METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {FIT_METHODS}")
@@ -417,10 +448,11 @@ def fit(model: ClusteredModel, data: ClusteredDataset, method: str = "mcmpl",
                          "mechanism; use mcmpl")
     mc = mc or MonteCarloConfig()
 
-    kept, dropped, prof = stage or profile_stage(model, data)
+    stage = stage or profile_stage(model, data)
+    kept, prof, solves = stage.data, stage.search, stage.solves
 
     def lp(psi):
-        return profile_loglik(model, kept, psi)
+        return profile_loglik(model, kept, psi, solves=solves)
 
     warnings_: list[str] = []
 
@@ -428,7 +460,7 @@ def fit(model: ClusteredModel, data: ClusteredDataset, method: str = "mcmpl",
         objective, opt = lp, prof
     else:
         psi_mle = np.atleast_1d(np.asarray(prof.argmax, dtype=float))
-        lam_mle = model.constrained_nuisance(psi_mle, kept)
+        lam_mle = _solve(model, kept, psi_mle, solves)
         if method == "mcmpl":
             bank = model.build_replicates(psi_mle, lam_mle, kept,
                                           mc.generator(0), mc.replicates)
@@ -436,10 +468,10 @@ def fit(model: ClusteredModel, data: ClusteredDataset, method: str = "mcmpl",
             bank = model.exact_bank(psi_mle, lam_mle, kept)
 
         def objective(psi):
-            return modified_profile_loglik(model, kept, bank, psi)
+            return modified_profile_loglik(model, kept, bank, psi, solves=solves)
 
         def gradient(psi):
-            return envelope_gradient(model, kept, psi, bank)
+            return envelope_gradient(model, kept, psi, bank, solves=solves)
         opt = model.maximize(objective, psi_mle, kept, modified=True, grad=gradient)
         if not prof.converged:
             warnings_.append("profile_stage_not_converged")
@@ -454,10 +486,10 @@ def fit(model: ClusteredModel, data: ClusteredDataset, method: str = "mcmpl",
     if np.any(~np.isfinite(se)) and not bound_hits:
         warnings_.append("hessian_not_negative_definite")
 
-    lam_hat = model.constrained_nuisance(psi_hat, kept)
+    lam_hat = np.array(_solve(model, kept, psi_hat, solves))
     return FitResult(psi_hat=psi_hat, std_errors=se, lambda_hat=lam_hat,
                      max_value=float(opt.value), method=method,
-                     converged=bool(opt.converged), dropped_clusters=dropped,
+                     converged=bool(opt.converged), dropped_clusters=stage.dropped,
                      param_names=tuple(names), cov=cov,
                      iterations=opt.iterations, warnings=tuple(warnings_))
 
@@ -511,9 +543,10 @@ def trace_curves(model: ClusteredModel, data: ClusteredDataset, mc: MonteCarloCo
     if param not in names:
         raise ValueError(f"unknown parameter {param!r}; choices: {', '.join(names)}")
     k = names.index(param)
-    kept, _, prof = profile_stage(model, data)
-    psi_mle = np.atleast_1d(np.asarray(prof.argmax, dtype=float))
-    bank = model.build_replicates(psi_mle, model.constrained_nuisance(psi_mle, kept),
+    stage = profile_stage(model, data)
+    kept, solves = stage.data, stage.solves
+    psi_mle = np.atleast_1d(np.asarray(stage.search.argmax, dtype=float))
+    bank = model.build_replicates(psi_mle, _solve(model, kept, psi_mle, solves),
                                   kept, mc.generator(0), mc.replicates)
     free = [j for j in range(len(names)) if j != k]
 
@@ -536,10 +569,10 @@ def trace_curves(model: ClusteredModel, data: ClusteredDataset, mc: MonteCarloCo
         return objective(embed(value, rest)), rest
 
     def lp(psi):
-        return profile_loglik(model, kept, psi)
+        return profile_loglik(model, kept, psi, solves=solves)
 
     def lm(psi):
-        return modified_profile_loglik(model, kept, bank, psi)
+        return modified_profile_loglik(model, kept, bank, psi, solves=solves)
 
     lp_curve, lm_curve = [], []
     rest_p = rest_m = psi_mle[free]

@@ -288,14 +288,6 @@ def _pow_sums(psi, lam, data):
         return np.exp(psi[0] * log_eta_y).sum(axis=1)
 
 
-def _replicate_scores(log_times, event_sums, psi, lam, data):
-    """(R, N) nuisance scores of replicates at ``(psi, lam)``."""
-    shape = float(psi[0])
-    with np.errstate(over="ignore"):
-        pow_sum = np.exp(shape * (log_times + _log_eta(psi, lam, data)[None])).sum(axis=2)
-    return shape * (pow_sum - event_sums)
-
-
 #: shape values whose replicate moments a bank keeps: a stencil's centre and sides
 _MOMENT_MEMO = 3
 
@@ -415,15 +407,28 @@ class WeibullSurvivalModel(ClusteredModel):
         with np.errstate(divide="ignore"):
             log_times = np.where(data.unit_mask[None], np.log(times), _PAD)
         event_sums = events.sum(axis=2)
-        scores = _replicate_scores(log_times, event_sums, psi, lam, data)
-        return _WeibullReplicateBank(log_times=log_times, event_sums=event_sums,
-                                     scores_at_mle=scores,
-                                     eta_mle=_log_eta(psi, lam, data),
+        eta_mle = _log_eta(psi, lam, data)
+        # one exp pass gives the scores at the fit and the moment at its shape,
+        # in the arithmetic of self._replicate_scores and _WeibullReplicateBank.moment
+        power = log_times + eta_mle
+        with np.errstate(over="ignore", invalid="ignore"):
+            power *= shape
+            np.exp(power, out=power)
+            scores = shape * (power.sum(axis=2) - event_sums)
+            power *= scores[:, :, None]
+        bank = _WeibullReplicateBank(log_times=log_times, event_sums=event_sums,
+                                     scores_at_mle=scores, eta_mle=eta_mle,
                                      event_moment=(event_sums * scores).mean(axis=0))
+        bank.moments[shape] = power.mean(axis=0)
+        return bank
 
     def _replicate_scores(self, bank, psi, lam, data):
         """(R, N) nuisance scores of the bank's replicates at ``(psi, lam)``."""
-        return _replicate_scores(bank.log_times, bank.event_sums, psi, lam, data)
+        shape = float(psi[0])
+        with np.errstate(over="ignore"):
+            pow_sum = np.exp(shape * (bank.log_times
+                                      + _log_eta(psi, lam, data)[None])).sum(axis=2)
+        return shape * (pow_sum - bank.event_sums)
 
     def replicate_expectation(self, bank, psi, lam_psi, data):
         """Mean over the bank of the score product, through the bank's

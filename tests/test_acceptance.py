@@ -252,7 +252,7 @@ def test_criterion_5_property_suite(tmp_path, capsys):
         lam = model.constrained_nuisance(psi, data)
         info = model.nuisance_obs_info(psi, lam, data)
         for i in range(0, data.n_clusters, 7):
-            cluster = data.cluster(i)
+            cluster = data.subset([i])
             lam_i = lam[i:i + 1]
 
             def ll(v):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -282,6 +284,75 @@ class TestFit:
         data = binary.make_binary_dataset(y, np.zeros((2, 2)))
         with pytest.raises(NoInformativeClustersError):
             core.fit(binary.BinaryMissingModel(), data, "profile")
+
+
+class TestStageSolves:
+    """Each profile stage solves each psi once and serves every fit from it."""
+
+    def test_run_trial_solves_each_psi_once(self, monkeypatch):
+        psis = []
+
+        class Counting(binary.BinaryMissingModel):
+            def constrained_nuisance(self, psi, data):
+                psis.append(np.asarray(psi, dtype=float).tobytes())
+                return super().constrained_nuisance(psi, data)
+
+        monkeypatch.setitem(harness.FAMILIES, "binary",
+                            dataclasses.replace(harness.FAMILIES["binary"], model=Counting))
+        spec = harness.ExperimentSpec(
+            model="binary", n_clusters=60, t_periods=6, n_trials=1, replicates=50,
+            methods=("mcar:profile", "mcar:mpl-exact", "mcar:mcmpl"), seed=8,
+            mechanism="mcar", beta=(1.0,), gamma1=(2.5,), gamma2=0.0)
+        outcome = harness.run_trial(spec, 0)
+        assert all(outcome.estimates.values())
+        assert len(psis) > 5
+        assert len(set(psis)) == len(psis)
+
+    @pytest.mark.parametrize("method", core.FIT_METHODS)
+    def test_fit_matches_fresh_solves(self, method):
+        data = simulated_mcar(n=40)
+        model = binary.BinaryMissingModel()
+        kept, _ = core.drop_noninformative(model, data)
+        mc = MonteCarloConfig(replicates=50, master_seed=4)
+        fit = core.fit(model, data, method, mc)
+        assert np.array_equal(fit.lambda_hat, model.constrained_nuisance(fit.psi_hat, kept))
+        if method == "profile":
+            fresh = core.profile_loglik(model, kept, fit.psi_hat)
+        else:
+            prof = core.fit(model, data, "profile")
+            if method == "mcmpl":
+                bank = model.build_replicates(prof.psi_hat, prof.lambda_hat, kept,
+                                              mc.generator(0), mc.replicates)
+            else:
+                bank = model.exact_bank(prof.psi_hat, prof.lambda_hat, kept)
+            fresh = core.modified_profile_loglik(model, kept, bank, fit.psi_hat)
+        assert fit.max_value == fresh
+
+    def test_cached_entries_are_read_only(self):
+        data = simulated_mcar(n=40)
+        model = binary.BinaryMissingModel()
+        stage = core.profile_stage(model, data)
+        fit = core.fit(model, data, "mcmpl", MonteCarloConfig(replicates=50), stage=stage)
+        assert stage.solves
+        for lam in stage.solves.values():
+            with pytest.raises(ValueError):
+                lam[0] = 0.0
+        # the result holds a writable copy; the cached solve stays as it was
+        cached = stage.solves[fit.psi_hat.tobytes()]
+        fit.lambda_hat[:] = 0.0
+        assert np.array_equal(cached, model.constrained_nuisance(fit.psi_hat, stage.data))
+
+    def test_stages_on_different_data_share_no_solves(self):
+        model = binary.BinaryMissingModel()
+        a = core.profile_stage(model, simulated_mcar(n=40, seed=3))
+        b = core.profile_stage(model, simulated_mcar(n=50, seed=5))
+        # both searches start from the model's initial psi
+        common = a.solves.keys() & b.solves.keys()
+        assert common
+        for key in common:
+            psi = np.frombuffer(key)
+            assert np.array_equal(a.solves[key], model.constrained_nuisance(psi, a.data))
+            assert np.array_equal(b.solves[key], model.constrained_nuisance(psi, b.data))
 
 
 #: one small dataset per model family and binary link x mechanism

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -135,7 +136,7 @@ class TestConstrainedNuisance:
             beta = rng.normal(size=1)
             lam = constrained_nuisance_closed_form(shape, beta, data)
             for i in range(n):
-                cluster = data.cluster(i)
+                cluster = data.subset([i])
 
                 def g(v):
                     return nuisance_score(shape, beta, v, cluster)[0]
@@ -378,6 +379,16 @@ class TestMcExpectation:
             want = (model._replicate_scores(bank, psi, lam_psi, data)
                     * bank.scores_at_mle).mean(axis=0)
             assert got == pytest.approx(want, rel=1e-12)
+
+    def test_build_fills_moment_at_the_fit(self):
+        _, model, data, psi_mle, bank = self.ragged_fit(20)
+        shape = float(psi_mle[0])
+        assert list(bank.moments) == [shape]
+        fresh = dataclasses.replace(bank, moments={})
+        assert np.array_equal(bank.moments[shape], fresh.moment(shape))
+        lam = model.constrained_nuisance(psi_mle, data)
+        assert np.array_equal(bank.scores_at_mle,
+                              model._replicate_scores(bank, psi_mle, lam, data))
 
     def test_memo_keeps_values_and_stays_small(self):
         _, model, data, psi_mle, bank = self.ragged_fit(18)
