@@ -169,22 +169,31 @@ class AR1PanelModel(ClusteredModel):
 
     def build_replicates(self, psi, lam, data, rng, n_replicates):
         """Synthetic panels from the fit, initial conditions unchanged; the
-        bank keeps only the per-replicate response and lag sums."""
+        bank keeps only the per-replicate response and lag sums.
+
+        The panels are never formed. With y_0 fixed, y_t = lam c_{t-1} +
+        rho^t y_0 + sigma sum_{s<=t} rho^{t-s} eps_s, where c_k = sum_{j<=k}
+        rho^j, so the response sum is m_S + sigma eps.a with a_s = c_{T-s},
+        the lag sum is m_L + sigma eps.b with b_s = c_{T-1-s} (b_T = 0), and
+        since a_s - rho b_s = 1 the score at the fit is sum_t eps_t / sigma.
+        One contraction of the (R, N, T) innovations with [a, b, 1] gives
+        all three; the innovations are the same single draw as a recursion
+        over t would use.
+        """
         rho, sigma2 = float(psi[0]), float(psi[1])
         sigma = np.sqrt(max(sigma2, SIGMA2_FLOOR))
         lam = np.broadcast_to(np.atleast_1d(np.asarray(lam, float)),
                               (data.n_clusters,))
+        y0 = data.initial_conditions
         n, t_len = data.responses.shape
         eps = rng.standard_normal((n_replicates, n, t_len))
-        y = np.empty_like(eps)
-        prev = np.broadcast_to(data.initial_conditions, (n_replicates, n))
-        for t in range(t_len):
-            prev = lam[None] + rho * prev + sigma * eps[:, :, t]
-            y[:, :, t] = prev
-        lag_sums = (data.initial_conditions[None] + y[:, :, :-1].sum(axis=2))
-        resp_sums = y.sum(axis=2)
-        lam_terms = t_len * lam[None]
-        scores = (resp_sums - lam_terms - rho * lag_sums) / max(sigma2, SIGMA2_FLOOR)
+        c = np.cumsum(rho ** np.arange(t_len))  # c_0 .. c_{T-1}
+        a = c[::-1]
+        b = np.append(c[-2::-1], 0.0)
+        sums = eps @ np.stack([a, b, np.ones(t_len)], axis=1)
+        resp_sums = (lam * a.sum() + y0 * (rho * a[0]))[None] + sigma * sums[:, :, 0]
+        lag_sums = (lam * b.sum() + y0 * (1.0 + rho * b[0]))[None] + sigma * sums[:, :, 1]
+        scores = sums[:, :, 2] / sigma
         return _AR1ReplicateBank(resp_sums=resp_sums, lag_sums=lag_sums,
                                  scores_at_mle=scores, t_len=t_len,
                                  resp_moment=(resp_sums * scores).mean(axis=0),

@@ -144,7 +144,7 @@ def _missing_probs(gamma1, gamma2, data):
 def _loglik_terms(link, mechanism, beta, gamma1, gamma2, lam, data):
     obs, mis = _masks(data)
     eta = _eta(link, beta, lam, data)
-    y = np.where(obs, np.nan_to_num(data.responses), 0.0)
+    y = np.where(obs, data.responses, 0.0)
     ll = np.where(obs, y * link.log_cdf(eta) + (1.0 - y) * link.log_cdf(-eta), 0.0)
     if mechanism == "mnar":
         u0 = _clamp(data.covariates @ gamma1)
@@ -163,7 +163,7 @@ def _score_kernel(link, mechanism, beta, gamma1, gamma2, data):
     """Per-cluster nuisance score and observed information as a function of
     lam; whatever does not depend on lam is computed once."""
     obs, mis = _masks(data)
-    y = np.where(obs, np.nan_to_num(data.responses), 0.0)
+    y = np.where(obs, data.responses, 0.0)
     xb = data.covariates @ beta
     if mechanism == "mnar":
         z0, z1 = _missing_probs(gamma1, gamma2, data)
@@ -172,10 +172,10 @@ def _score_kernel(link, mechanism, beta, gamma1, gamma2, data):
         eta = _clamp(np.asarray(lam, dtype=float)[:, None] + xb)
         r_lo = link.mills_lower(eta)    # f/F
         r_hi = link.mills_upper(eta)    # f/(1-F)
-        g = link.pdf_ratio(eta)         # f'/f
         score = np.where(obs, y * r_lo - (1.0 - y) * r_hi, 0.0)
         info = None
         if want_info:
+            g = link.pdf_ratio(eta)     # f'/f
             info = np.where(obs, y * r_lo * (r_lo - g) + (1.0 - y) * r_hi * (r_hi + g),
                             0.0)
         if mechanism == "mnar":
@@ -198,7 +198,7 @@ def _missing_score_weight(link, eta, z0, z1):
 def _observed_counts(data):
     obs, _ = _masks(data)
     n_obs = obs.sum(axis=1)
-    s_obs = np.where(obs, np.nan_to_num(data.responses), 0.0).sum(axis=1)
+    s_obs = np.where(obs, data.responses, 0.0).sum(axis=1)
     return n_obs, s_obs
 
 

@@ -556,13 +556,19 @@ def trace_curves(model: ClusteredModel, data: ClusteredDataset, mc: MonteCarloCo
         psi[free] = rest
         return psi
 
-    def maximize_rest(objective, value, rest):
-        """Maximum over the other components at ``value``; the objective at
-        ``rest`` itself where the search cannot start."""
+    def maximize_rest(objective, curve_bank, value, rest):
+        """Maximum over the other components at ``value``, searched with the
+        free components of the :func:`envelope_gradient` over ``curve_bank``; the
+        objective at ``rest`` itself where the search cannot start."""
+        def grad(r):
+            g = envelope_gradient(model, kept, embed(value, r), curve_bank,
+                                  solves=solves)
+            return None if g is None else g[free]
+
         if free:
             try:
                 res = optim.maximize_multivariate(
-                    lambda r: objective(embed(value, r)), rest)
+                    lambda r: objective(embed(value, r)), rest, grad=grad)
                 return res.value, np.asarray(res.argmax, dtype=float)
             except optim.NonFiniteStartError:
                 pass
@@ -577,8 +583,8 @@ def trace_curves(model: ClusteredModel, data: ClusteredDataset, mc: MonteCarloCo
     lp_curve, lm_curve = [], []
     rest_p = rest_m = psi_mle[free]
     for value in grid:
-        val_p, rest_p = maximize_rest(lp, value, rest_p)
-        val_m, rest_m = maximize_rest(lm, value, rest_m)
+        val_p, rest_p = maximize_rest(lp, None, value, rest_p)
+        val_m, rest_m = maximize_rest(lm, bank, value, rest_m)
         lp_curve.append(val_p)
         lm_curve.append(val_m)
     return lp_curve, lm_curve

@@ -185,6 +185,65 @@ class TestMcExpectation:
         assert found
 
 
+def recursion_sums(psi, lam, data, eps):
+    """Reference for the bank: run y_t = lam + rho y_{t-1} + sigma eps_t over
+    t and sum the (R, N, T) paths; returns (resp_sums, lag_sums, scores)."""
+    rho, sigma2 = psi
+    y = np.empty_like(eps)
+    prev = np.broadcast_to(data.initial_conditions, eps.shape[:2])
+    for t in range(eps.shape[2]):
+        prev = lam[None] + rho * prev + np.sqrt(sigma2) * eps[:, :, t]
+        y[:, :, t] = prev
+    lag_sums = data.initial_conditions[None] + y[:, :, :-1].sum(axis=2)
+    resp_sums = y.sum(axis=2)
+    scores = (resp_sums - eps.shape[2] * lam[None] - rho * lag_sums) / sigma2
+    return resp_sums, lag_sums, scores
+
+
+def power_sum(rho, k):
+    """A_k(rho) = sum_{t=1..k} sum_{j=0..t-1} rho^j."""
+    return sum(rho ** j for t in range(1, k + 1) for j in range(t))
+
+
+class TestReplicateBank:
+    @pytest.mark.parametrize("rho", [-0.9, 0.5, 1.0, 1.3])
+    def test_matches_recursion(self, rho):
+        data = make_panel_dataset(simulate_panel(7, 6, seed=16).responses,
+                                  np.linspace(-2.0, 3.0, 7))
+        lam = np.linspace(-1.0, 1.5, 7)
+        psi = np.array([rho, 0.6])
+        bank = AR1PanelModel().build_replicates(psi, lam, data, substream(17, 0), 300)
+        eps = substream(17, 0).standard_normal((300, 7, 6))
+        for got, want in zip((bank.resp_sums, bank.lag_sums, bank.scores_at_mle),
+                             recursion_sums(psi, lam, data, eps)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_one_draw_of_the_innovations(self):
+        data = simulate_panel(5, 4, seed=18)
+        rng, ref = substream(19, 0), substream(19, 0)
+        AR1PanelModel().build_replicates(np.array([0.5, 1.0]), np.zeros(5), data, rng, 40)
+        ref.standard_normal((40, 5, 4))
+        # the same state gives the same stream from here on
+        assert np.array_equal(rng.integers(0, 2 ** 63, 64), ref.integers(0, 2 ** 63, 64))
+
+    def test_moments_at_large_r(self):
+        # E[S s] = A_T(rho_hat), E[L s] = A_{T-1}(rho_hat) and E[s] = 0 for
+        # the response sum S, lag sum L and score s at the fit
+        data = simulate_panel(4, 5, rho=0.7, seed=20)
+        rho, sigma2, lam = ols_fit(data)
+        r = 50_000
+        bank = AR1PanelModel().build_replicates(np.array([rho, sigma2]), lam, data,
+                                                substream(21, 0), r)
+        n, t_len = data.responses.shape
+        s = bank.scores_at_mle
+        for moment, product, exact in (
+                (bank.resp_moment, bank.resp_sums * s, power_sum(rho, t_len)),
+                (bank.lag_moment, bank.lag_sums * s, power_sum(rho, t_len - 1)),
+                (bank.score_mean, s, 0.0)):
+            mc_se = np.sqrt(product.var(axis=0, ddof=1).sum() / r) / n
+            assert abs(moment.mean() - exact) <= 4.0 * mc_se
+
+
 class TestFitBounded:
     def test_info_is_t_over_sigma2(self):
         data = simulate_panel(4, 7, seed=11)

@@ -287,6 +287,17 @@ class TestSimulateCommand:
                      "--threads", "2"]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
+    def test_ar1_thread_invariance_bytes(self, tmp_path):
+        # the AR(1) bank sums the innovations through a BLAS contraction
+        config = {**BASE_CONFIGS["ar1"], "N": "30", "S": "4", "R": "40"}
+        cfg = write_lines(tmp_path / "exp.cfg", [f"{k} = {v}" for k, v in config.items()])
+        out1, out2 = str(tmp_path / "m1.csv"), str(tmp_path / "m2.csv")
+        assert main(["simulate", "--config", cfg, "--out", out1,
+                     "--threads", "1"]) == 0
+        assert main(["simulate", "--config", cfg, "--out", out2,
+                     "--threads", "2"]) == 0
+        assert open(out1, "rb").read() == open(out2, "rb").read()
+
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         cfg = self.config(tmp_path, S=4)
         base = str(tmp_path / "m0.csv")

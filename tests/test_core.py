@@ -432,6 +432,27 @@ class TestEnvelopeGradient:
                                     lambda z: core.envelope_gradient(model, kept, z))
         assert calls and np.array_equal(calls[0], psi)
 
+    def test_trace_curves_search_with_it(self, monkeypatch):
+        model, kept, _, _, _ = gradient_case("logit-mnar")
+        mc = MonteCarloConfig(replicates=50, master_seed=5)
+        grid = [0.8, 1.0, 1.2]
+        calls = []
+        numerical_gradient = optim.numerical_gradient
+
+        def counted(f, x):
+            calls.append(x)
+            return numerical_gradient(f, x)
+
+        monkeypatch.setattr(optim, "numerical_gradient", counted)
+        curves = core.trace_curves(model, kept, mc, "beta1", grid)
+        assert not calls
+        # the numerical-gradient searches reach the same maxima
+        monkeypatch.setattr(core, "envelope_gradient", lambda *args, **kwargs: None)
+        reference = core.trace_curves(model, kept, mc, "beta1", grid)
+        assert calls
+        for curve, ref in zip(curves, reference):
+            assert np.allclose(curve, ref, rtol=0.0, atol=1e-6)
+
     def test_infeasible_point_has_no_gradient(self):
         model, kept, _, bank, _ = gradient_case("weibull")
         psi = np.array([-1.0, 0.0, 0.0])
