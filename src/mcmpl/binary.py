@@ -36,66 +36,70 @@ class ProbabilityUnderflowError(optim.NumericalFailure):
 class Link:
     """Response link: CDF, density, and tail-stable derived ratios.
 
-    ``pdf_ratio`` is f'/f, ``mills_lower`` is f/F and ``mills_upper`` is
-    f/(1-F); the Mills ratios stay finite in double precision at any
-    clamped predictor, which keeps scores and information stable where F
-    underflows.
+    ``log_sf`` is log(1-F), ``pdf_ratio`` is f'/f, ``mills_lower`` is f/F
+    and ``mills_upper`` is f/(1-F); the Mills ratios stay finite in double
+    precision at any clamped predictor, which keeps scores and information
+    stable where F underflows. ``rules`` gives each of them as a function
+    of the :class:`LinkValues` at one eta, so a value made from another
+    reuses that pass.
     """
 
-    def cdf(self, eta): ...
-    def log_cdf(self, eta): ...
-    def pdf(self, eta): ...
-    def log_pdf(self, eta): ...
-    def pdf_ratio(self, eta): ...
-    def mills_lower(self, eta): ...
-    def mills_upper(self, eta): ...
+    rules: dict = {}
+
+    def at(self, eta) -> LinkValues:
+        return LinkValues(self, eta)
+
+    def cdf(self, eta):
+        return self.at(eta).cdf
+
+    def log_cdf(self, eta):
+        return self.at(eta).log_cdf
+
+    def log_pdf(self, eta):
+        return self.at(eta).log_pdf
+
+
+class LinkValues:
+    """A link's values at one ``eta``, read as attributes named after its
+    ``rules``; each is computed on first use and kept."""
+
+    def __init__(self, link, eta):
+        self.link, self.eta = link, eta
+
+    def __getattr__(self, name):
+        try:
+            rule = self.link.rules[name]
+        except KeyError:
+            raise AttributeError(name) from None
+        value = self.__dict__[name] = rule(self)
+        return value
 
 
 class LogitLink(Link):
-    def cdf(self, eta):
-        return expit(eta)
-
-    def log_cdf(self, eta):
-        return log_expit(eta)
-
-    def pdf(self, eta):
-        p = expit(eta)
-        return p * (1.0 - p)
-
-    def log_pdf(self, eta):
-        return log_expit(eta) + log_expit(-eta)
-
-    def pdf_ratio(self, eta):
-        return 1.0 - 2.0 * expit(eta)
-
-    def mills_lower(self, eta):
-        return expit(-eta)
-
-    def mills_upper(self, eta):
-        return expit(eta)
+    # one expit(eta) serves F, f/(1-F), f = F(1-F) and f'/f = 1-2F
+    rules = {
+        "cdf": lambda v: expit(v.eta),
+        "log_cdf": lambda v: log_expit(v.eta),
+        "log_sf": lambda v: log_expit(-v.eta),
+        "pdf": lambda v: v.cdf * (1.0 - v.cdf),
+        "log_pdf": lambda v: v.log_cdf + v.log_sf,
+        "pdf_ratio": lambda v: 1.0 - 2.0 * v.cdf,
+        "mills_lower": lambda v: expit(-v.eta),
+        "mills_upper": lambda v: v.cdf,
+    }
 
 
 class ProbitLink(Link):
-    def cdf(self, eta):
-        return ndtr(eta)
-
-    def log_cdf(self, eta):
-        return log_ndtr(eta)
-
-    def pdf(self, eta):
-        return np.exp(-0.5 * eta ** 2) / np.sqrt(2.0 * np.pi)
-
-    def log_pdf(self, eta):
-        return -0.5 * eta ** 2 - _LOG_SQRT_2PI
-
-    def pdf_ratio(self, eta):
-        return -eta
-
-    def mills_lower(self, eta):
-        return np.exp(self.log_pdf(eta) - log_ndtr(eta))
-
-    def mills_upper(self, eta):
-        return np.exp(self.log_pdf(eta) - log_ndtr(-eta))
+    rules = {
+        "cdf": lambda v: ndtr(v.eta),
+        "log_cdf": lambda v: log_ndtr(v.eta),
+        "log_sf": lambda v: log_ndtr(-v.eta),
+        "pdf": lambda v: np.exp(-0.5 * v.eta ** 2) / np.sqrt(2.0 * np.pi),
+        "log_pdf": lambda v: -0.5 * v.eta ** 2 - _LOG_SQRT_2PI,
+        "pdf_ratio": lambda v: -v.eta,
+        "mills_lower": lambda v: np.exp(v.log_pdf - v.log_cdf),
+        "mills_upper": lambda v: np.exp(v.log_pdf - v.log_sf),
+    }
 
 
 LOGIT = LogitLink()
@@ -120,66 +124,85 @@ def _clamp(eta):
     return np.minimum(np.maximum(eta, -PREDICTOR_CLAMP), PREDICTOR_CLAMP)
 
 
-def _masks(data: ClusteredDataset):
+def _recorded(data: ClusteredDataset):
+    """Observed and missing units, and the recorded response (0 elsewhere)."""
     obs = (data.indicators == 0.0) & data.unit_mask
     mis = (data.indicators == 1.0) & data.unit_mask
-    return obs, mis
+    return obs, mis, np.where(obs, data.responses, 0.0)
 
 
-def _eta(link, beta, lam, data):
-    lam = np.asarray(lam, dtype=float)
-    return _clamp(lam[:, None] + data.covariates @ beta)
+@dataclass(frozen=True)
+class _PsiPart:
+    """What every kernel reads at one psi on ``data`` that does not depend
+    on lam; the arrays are read-only. The missingness pieces are set under
+    mnar only."""
+
+    data: ClusteredDataset
+    gamma2: float
+    obs: np.ndarray                 # (N, T) observed units
+    mis: np.ndarray                 # (N, T) missing units
+    y: np.ndarray                   # (N, T) recorded response, 0 elsewhere
+    not_y: np.ndarray               # 1 - y
+    xb: np.ndarray                  # (N, T) x beta
+    u0: np.ndarray | None = None    # clamp(x gamma1)
+    z0: np.ndarray | None = None    # missingness probability at y = 0
+    z1: np.ndarray | None = None    # and at y = 1
+
+    @classmethod
+    def build(cls, mechanism, beta, gamma1, gamma2, data):
+        obs, mis, y = _recorded(data)
+        arrays = dict(obs=obs, mis=mis, y=y, not_y=1.0 - y, xb=data.covariates @ beta)
+        if mechanism == "mnar":
+            u0 = _clamp(data.covariates @ gamma1)
+            arrays.update(u0=u0, z0=G.cdf(u0), z1=G.cdf(_clamp(u0 + gamma2)))
+        for a in arrays.values():
+            a.setflags(write=False)
+        return cls(data=data, gamma2=gamma2, **arrays)
+
+    def eta(self, lam):
+        return _clamp(np.asarray(lam, dtype=float)[:, None] + self.xb)
 
 
-def _missing_probs(gamma1, gamma2, data):
-    """Missingness probabilities of every unit at y = 0 and at y = 1."""
-    u0 = _clamp(data.covariates @ gamma1)
-    return G.cdf(u0), G.cdf(_clamp(u0 + gamma2))
+#: psi values whose parts a model keeps: a gradient stencil alternates two
+_PART_MEMO = 2
 
 
 # ---------------------------------------------------------------------------
 # vectorized kernels (per-cluster results as length-N arrays)
 # ---------------------------------------------------------------------------
 
-def _loglik_terms(link, mechanism, beta, gamma1, gamma2, lam, data):
-    obs, mis = _masks(data)
-    eta = _eta(link, beta, lam, data)
-    y = np.where(obs, data.responses, 0.0)
-    ll = np.where(obs, y * link.log_cdf(eta) + (1.0 - y) * link.log_cdf(-eta), 0.0)
-    if mechanism == "mnar":
-        u0 = _clamp(data.covariates @ gamma1)
+def _loglik_terms(link, part, lam):
+    eta = part.eta(lam)
+    obs, mis, y = part.obs, part.mis, part.y
+    # y log F + (1 - y) log(1 - F), one log-CDF pass at the signed predictor
+    ll = np.where(obs, link.log_cdf(np.where(y, eta, -eta)), 0.0)
+    if part.u0 is not None:
         # observed units contribute log(1 - zeta) at their recorded response
-        u_at_y = _clamp(u0 + gamma2 * y)
+        u_at_y = _clamp(part.u0 + part.gamma2 * y)
         ll = ll + np.where(obs, G.log_cdf(-u_at_y), 0.0)
         pi = link.cdf(eta)
-        mix = pi * G.cdf(_clamp(u0 + gamma2)) + (1.0 - pi) * G.cdf(u0)
+        mix = pi * part.z1 + (1.0 - pi) * part.z0
         if np.any(mix[mis] <= 0.0):
             raise ProbabilityUnderflowError("mixture probability underflowed to 0")
         ll = ll + np.where(mis, np.log(np.maximum(mix, 1e-300)), 0.0)
     return ll.sum(axis=1)
 
 
-def _score_kernel(link, mechanism, beta, gamma1, gamma2, data):
+def _score_kernel(link, part):
     """Per-cluster nuisance score and observed information as a function of
-    lam; whatever does not depend on lam is computed once."""
-    obs, mis = _masks(data)
-    y = np.where(obs, data.responses, 0.0)
-    xb = data.covariates @ beta
-    if mechanism == "mnar":
-        z0, z1 = _missing_probs(gamma1, gamma2, data)
+    lam, over the psi-only ``part``."""
+    obs, mis, y, not_y = part.obs, part.mis, part.y, part.not_y
 
     def terms(lam, want_info=True):
-        eta = _clamp(np.asarray(lam, dtype=float)[:, None] + xb)
-        r_lo = link.mills_lower(eta)    # f/F
-        r_hi = link.mills_upper(eta)    # f/(1-F)
-        score = np.where(obs, y * r_lo - (1.0 - y) * r_hi, 0.0)
+        v = link.at(part.eta(lam))
+        r_lo, r_hi = v.mills_lower, v.mills_upper    # f/F, f/(1-F)
+        score = np.where(obs, y * r_lo - not_y * r_hi, 0.0)
         info = None
         if want_info:
-            g = link.pdf_ratio(eta)     # f'/f
-            info = np.where(obs, y * r_lo * (r_lo - g) + (1.0 - y) * r_hi * (r_hi + g),
-                            0.0)
-        if mechanism == "mnar":
-            s_mis = _missing_score_weight(link, eta, z0, z1)
+            g = v.pdf_ratio                          # f'/f
+            info = np.where(obs, y * r_lo * (r_lo - g) + not_y * r_hi * (r_hi + g), 0.0)
+        if part.z0 is not None:
+            s_mis = _missing_score_weight(v, part.z0, part.z1)
             score = score + np.where(mis, s_mis, 0.0)
             if want_info:
                 info = info + np.where(mis, s_mis * (s_mis - g), 0.0)
@@ -188,21 +211,14 @@ def _score_kernel(link, mechanism, beta, gamma1, gamma2, data):
     return terms
 
 
-def _missing_score_weight(link, eta, z0, z1):
-    """Per-unit score contribution of a missing response: f(z1-z0)/D."""
-    pi = link.cdf(eta)
-    d = pi * z1 + (1.0 - pi) * z0
-    return link.pdf(eta) * (z1 - z0) / np.maximum(d, 1e-300)
+def _missing_score_weight(v, z0, z1):
+    """Per-unit score contribution of a missing response, f(z1-z0)/D, from
+    the :class:`LinkValues` ``v``."""
+    d = v.cdf * z1 + (1.0 - v.cdf) * z0
+    return v.pdf * (z1 - z0) / np.maximum(d, 1e-300)
 
 
-def _observed_counts(data):
-    obs, _ = _masks(data)
-    n_obs = obs.sum(axis=1)
-    s_obs = np.where(obs, data.responses, 0.0).sum(axis=1)
-    return n_obs, s_obs
-
-
-def _solve_constrained(terms, data):
+def _solve_constrained(terms, part):
     """Per-cluster root of the nuisance score ``terms`` (a :func:`_score_kernel`),
     safeguarded Newton/bisection.
 
@@ -210,8 +226,8 @@ def _solve_constrained(terms, data):
     units); informative ones always bracket a root because the observed
     part of the score dominates both tails.
     """
-    n = data.n_clusters
-    n_obs, s_obs = _observed_counts(data)
+    n_obs, s_obs = part.obs.sum(axis=1), part.y.sum(axis=1)
+    n = n_obs.size
     lam = np.full(n, np.nan)
     lam[(n_obs > 0) & (s_obs == 0)] = -np.inf
     lam[(n_obs > 0) & (s_obs == n_obs)] = np.inf
@@ -325,7 +341,8 @@ class BinaryMissingModel(ClusteredModel):
 
     ``mechanism`` selects the interest parameter: the regression
     coefficients alone (mcar) or those stacked with the missingness
-    coefficients (mnar).
+    coefficients (mnar). The model keeps the :class:`_PsiPart` of the last
+    two (psi, dataset) pairs it was asked about.
     """
 
     def __init__(self, link="logit", mechanism="mcar"):
@@ -333,6 +350,20 @@ class BinaryMissingModel(ClusteredModel):
         if mechanism not in ("mcar", "mnar"):
             raise ValueError("mechanism must be mcar or mnar")
         self.mechanism = mechanism
+        self._parts = {}  # psi.tobytes() -> _PsiPart, oldest first
+
+    def _part(self, psi, data):
+        """The :class:`_PsiPart` at ``psi`` on ``data``, from the memo when
+        the pair was among the last ones asked for."""
+        psi = np.atleast_1d(np.asarray(psi, dtype=float))
+        key = psi.tobytes()
+        part = self._parts.pop(key, None)
+        if part is None or part.data is not data:
+            if len(self._parts) >= _PART_MEMO:
+                del self._parts[next(iter(self._parts))]
+            part = _PsiPart.build(self.mechanism, *self._split(psi, data.n_covariates), data)
+        self._parts[key] = part
+        return part
 
     # -- parameter packing ---------------------------------------------------
 
@@ -400,16 +431,15 @@ class BinaryMissingModel(ClusteredModel):
     # -- likelihood pieces ----------------------------------------------------
 
     def informative_mask(self, data):
-        n_obs, s_obs = _observed_counts(data)
+        obs, _, y = _recorded(data)
+        n_obs, s_obs = obs.sum(axis=1), y.sum(axis=1)
         return (n_obs > 0) & (s_obs > 0) & (s_obs < n_obs)
 
     def cluster_logliks(self, psi, lam, data):
-        beta, gamma1, gamma2 = self._split(psi, data.n_covariates)
-        return _loglik_terms(self.link, self.mechanism, beta, gamma1, gamma2, lam, data)
+        return _loglik_terms(self.link, self._part(psi, data), lam)
 
     def _kernel(self, psi, data):
-        return _score_kernel(self.link, self.mechanism,
-                             *self._split(psi, data.n_covariates), data)
+        return _score_kernel(self.link, self._part(psi, data))
 
     def nuisance_score(self, psi, lam, data):
         return self._kernel(psi, data)(lam, want_info=False)[0]
@@ -418,7 +448,8 @@ class BinaryMissingModel(ClusteredModel):
         return self._kernel(psi, data)(lam)[1]
 
     def constrained_nuisance(self, psi, data):
-        return _solve_constrained(self._kernel(psi, data), data)
+        part = self._part(psi, data)
+        return _solve_constrained(_score_kernel(self.link, part), part)
 
     def has_exact_expectation(self):
         return self.mechanism == "mcar"
@@ -432,10 +463,8 @@ class BinaryMissingModel(ClusteredModel):
         """
         if self.mechanism != "mcar":
             raise NotImplementedError("closed form exists under MCAR only")
-        obs, _ = _masks(data)
-        beta, _, _ = self._split(psi, data.n_covariates)
-        f_hat = np.where(obs, np.exp(self.link.log_pdf(_eta(self.link, beta, lam, data))),
-                         0.0)
+        part = self._part(psi, data)
+        f_hat = np.where(part.obs, np.exp(self.link.log_pdf(part.eta(lam))), 0.0)
         zero = np.zeros_like(f_hat)
         return _BinaryReplicateBank(moments=np.stack([f_hat, zero, zero]),
                                     scores_at_mle=np.empty((0, data.n_clusters)))
@@ -469,35 +498,38 @@ class BinaryMissingModel(ClusteredModel):
                                     scores_at_mle=scores)
 
     def _draw_replicates(self, psi, lam, data, rng, n_replicates):
-        """The raw draws of :meth:`build_replicates` from ``rng``."""
-        beta, _, _ = self._split(psi, data.n_covariates)
+        """The raw draws of :meth:`build_replicates` from ``rng``: responses,
+        then deletions, kept as booleans until they are returned as floats.
+
+        The deletion probability takes two values per unit, at y = 0 and
+        y = 1, so both are made on (N, T) and each draw selects its own.
+        """
         gamma1, gamma2 = self._deletion_gamma(psi, data)
-        eta = _eta(self.link, beta, lam, data)
-        shape = (n_replicates,) + eta.shape
-        y = (rng.random(shape) < self.link.cdf(eta)[None]).astype(float)
-        if gamma1 is None:
-            miss = np.zeros(shape)
-        else:
-            zeta = G.cdf(_clamp((data.covariates @ gamma1)[None] + gamma2 * y))
-            miss = (rng.random(shape) < zeta).astype(float)
-        valid = data.unit_mask[None]
-        miss = np.where(valid, miss, 0.0)
-        obs = np.where(valid, 1.0 - miss, 0.0)
-        return _BinaryDraws(obs_y=obs * y, obs=obs, miss=miss)
+        pi = self.link.cdf(self._part(psi, data).eta(lam))
+        shape = (n_replicates,) + pi.shape
+        y = rng.random(shape) < pi
+        miss = np.zeros(shape, dtype=bool)
+        if gamma1 is not None:
+            u = data.covariates @ gamma1
+            zeta = G.cdf(_clamp(u + gamma2 * 0.0))
+            if gamma2 != 0.0:
+                zeta = np.where(y, G.cdf(_clamp(u + gamma2 * 1.0)), zeta)
+            miss = (rng.random(shape) < zeta) & data.unit_mask
+        obs = data.unit_mask & ~miss
+        return _BinaryDraws(obs_y=(obs & y).astype(float), obs=obs.astype(float),
+                            miss=miss.astype(float))
 
     def _score_weights(self, psi, lam, data):
         """Per-unit weights (3, N, T) of a replicate's nuisance score on its
         ``obs_y``, ``obs`` and ``miss`` draws; they depend on the parameters
         and covariates only."""
-        beta, gamma1, gamma2 = self._split(psi, data.n_covariates)
-        eta = _eta(self.link, beta, lam, data)
-        w_obs = np.exp(self.link.log_pdf(eta) - self.link.log_cdf(eta)
-                       - self.link.log_cdf(-eta))
-        w_mis = np.zeros_like(eta)
-        if self.mechanism == "mnar":
-            w_mis = _missing_score_weight(self.link, eta,
-                                          *_missing_probs(gamma1, gamma2, data))
-        return np.stack([w_obs, -self.link.cdf(eta) * w_obs, w_mis])
+        part = self._part(psi, data)
+        v = self.link.at(part.eta(lam))
+        w_obs = np.exp(v.log_pdf - v.log_cdf - v.log_sf)
+        w_mis = np.zeros_like(w_obs)
+        if part.z0 is not None:
+            w_mis = _missing_score_weight(v, part.z0, part.z1)
+        return np.stack([w_obs, -v.cdf * w_obs, w_mis])
 
     def _replicate_scores(self, draws, psi, lam, data):
         """Nuisance scores of every raw replicate at (psi, lam), shape (R, N)."""

@@ -347,10 +347,11 @@ def modified_profile_loglik(model, data, bank, psi, *, solves=None) -> float:
     return -np.inf if m is None else lp + m
 
 
-def envelope_gradient(model, data, psi, bank=None, *, solves=None):
+def envelope_gradient(model, data, psi, bank=None, *, solves=None, components=None):
     """Gradient of the profile log-likelihood, or of the modified one over
     ``bank`` when one is given, from one constrained solve at ``psi``, read
-    from ``solves`` as in :func:`profile_loglik`.
+    from ``solves`` as in :func:`profile_loglik`; only the ``components``
+    of psi listed (all by default) are differenced and returned.
 
     The nuisance score vanishes at lam_psi, so by the envelope theorem the
     profile part is the psi-derivative of the cluster log-likelihoods at
@@ -374,8 +375,9 @@ def envelope_gradient(model, data, psi, bank=None, *, solves=None):
         if np.any(info <= 0.0) or not np.all(np.isfinite(info)):
             return None
     h = optim._steps(psi, 1e-5)
-    grad = np.empty(psi.size)
-    for j in range(psi.size):
+    components = range(psi.size) if components is None else components
+    grad = np.empty(len(components))
+    for i, j in enumerate(components):
         step = np.zeros(psi.size)
         step[j] = h[j]
         up, down = psi + step, psi - step
@@ -393,7 +395,7 @@ def envelope_gradient(model, data, psi, bank=None, *, solves=None):
             diff += m_up - m_down
         if not np.isfinite(diff):
             return None
-        grad[j] = diff / (2.0 * h[j])
+        grad[i] = diff / (2.0 * h[j])
     return grad
 
 
@@ -561,9 +563,8 @@ def trace_curves(model: ClusteredModel, data: ClusteredDataset, mc: MonteCarloCo
         free components of the :func:`envelope_gradient` over ``curve_bank``; the
         objective at ``rest`` itself where the search cannot start."""
         def grad(r):
-            g = envelope_gradient(model, kept, embed(value, r), curve_bank,
-                                  solves=solves)
-            return None if g is None else g[free]
+            return envelope_gradient(model, kept, embed(value, r), curve_bank,
+                                     solves=solves, components=free)
 
         if free:
             try:

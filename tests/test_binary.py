@@ -343,6 +343,176 @@ class TestMomentBank:
         assert bank.moments.shape == (3, n, t)
 
 
+def elementwise_draws(model, psi, lam, data, rng, n_replicates):
+    """Reference for the replicate draw: the deletion probability evaluated
+    at every (R, N, T) response draw, in float arithmetic throughout."""
+    beta = np.atleast_1d(psi)[:data.n_covariates]
+    gamma1, gamma2 = model._deletion_gamma(psi, data)
+    eta = binary._clamp(lam[:, None] + data.covariates @ beta)
+    shape = (n_replicates,) + eta.shape
+    y = (rng.random(shape) < model.link.cdf(eta)[None]).astype(float)
+    if gamma1 is None:
+        miss = np.zeros(shape)
+    else:
+        zeta = binary.G.cdf(binary._clamp((data.covariates @ gamma1)[None] + gamma2 * y))
+        miss = (rng.random(shape) < zeta).astype(float)
+    valid = data.unit_mask[None]
+    miss = np.where(valid, miss, 0.0)
+    obs = np.where(valid, 1.0 - miss, 0.0)
+    return binary._BinaryDraws(obs_y=obs * y, obs=obs, miss=miss)
+
+
+def draw_case(link, mechanism, gamma2, layout):
+    """A 12-cluster dataset, its model, and (psi, lam) at which to draw;
+    ``layout`` is full, ragged (some clusters end early) or complete (no
+    missing responses)."""
+    rng = np.random.default_rng(31)
+    n, t = 12, 5
+    x = rng.normal(scale=2.0, size=(n, t))
+    x[0, :2] = (12.0, -12.0)  # past the predictor clamp at gamma1 = 4.5
+    y = (rng.random((n, t)) < 0.5).astype(float)
+    miss = (rng.random((n, t)) < 0.3).astype(float)
+    mask = np.ones((n, t), dtype=bool)
+    if layout == "ragged":
+        mask[::3, 3:] = False
+    if layout == "complete":
+        miss[:] = 0.0
+    miss = np.where(mask, miss, 0.0)
+    data = make_binary_dataset(np.where(mask & (miss == 0), y, np.nan), x, miss,
+                               unit_mask=mask)
+    model = BinaryMissingModel(link=link, mechanism=mechanism)
+    psi = np.array([0.8, 4.5, gamma2])[:len(model.param_names(data))]
+    return model, data, psi, rng.normal(size=n)
+
+
+DRAW_CASES = [(link, mechanism, gamma2, layout)
+              for link in ("logit", "probit")
+              for mechanism, gammas in (("mcar", (0.0,)), ("mnar", (1.7, -1.3)))
+              for gamma2 in gammas
+              for layout in ("full", "ragged", "complete")]
+
+
+class TestTwoValuedDraw:
+    @pytest.mark.parametrize("link, mechanism, gamma2, layout", DRAW_CASES)
+    def test_draws_match_elementwise_reference(self, link, mechanism, gamma2, layout):
+        model, data, psi, lam = draw_case(link, mechanism, gamma2, layout)
+        rng, ref_rng = substream(33, 0), substream(33, 0)
+        draws = model._draw_replicates(psi, lam, data, rng, 200)
+        ref = elementwise_draws(model, psi, lam, data, ref_rng, 200)
+        for name in ("obs_y", "obs", "miss"):
+            assert getattr(draws, name).tobytes() == getattr(ref, name).tobytes()
+        if layout == "complete" and mechanism == "mcar":
+            assert not draws.miss.any()
+        else:
+            assert draws.miss.any()
+        # the generator continues as after the reference draws
+        assert np.array_equal(rng.random(16), ref_rng.random(16))
+
+    @pytest.mark.parametrize("link, mechanism, gamma2, layout", DRAW_CASES)
+    def test_bank_matches_elementwise_reference(self, link, mechanism, gamma2, layout):
+        model, data, psi, lam = draw_case(link, mechanism, gamma2, layout)
+        rng, ref_rng = substream(34, 0), substream(34, 0)
+        bank = model.build_replicates(psi, lam, data, rng, 150)
+        ref = elementwise_draws(model, psi, lam, data, ref_rng, 150)
+        scores = model._replicate_scores(ref, psi, lam, data)
+        moments = np.stack([np.einsum("rnt,rn->nt", x, scores)
+                            for x in (ref.obs_y, ref.obs, ref.miss)]) / 150
+        assert bank.scores_at_mle.tobytes() == scores.tobytes()
+        assert bank.moments.tobytes() == moments.tobytes()
+        assert np.array_equal(rng.random(16), ref_rng.random(16))
+
+
+def part_case(link, mechanism):
+    """(model, informative data, a second dataset, psi, replicate bank)."""
+    data, _ = informative(_sim_mcar(30, 6, seed=19))
+    other, _ = informative(_sim_mcar(30, 6, seed=20))
+    model = BinaryMissingModel(link=link, mechanism=mechanism)
+    psi = np.array([0.9, 2.0, 0.6])[:len(model.param_names(data))]
+    lam = BinaryMissingModel(link, mechanism).constrained_nuisance(psi, data)
+    bank = BinaryMissingModel(link, mechanism).build_replicates(
+        psi, lam, data, substream(35, 0), 60)
+    return model, data, other, psi, bank
+
+
+def kernel_values(model, data, psi, bank):
+    """Every kernel, the modified objective and its gradient at ``psi``."""
+    lam = model.constrained_nuisance(psi, data)
+    values = [lam, model.cluster_logliks(psi, lam, data),
+              model.nuisance_score(psi, lam + 0.1, data),
+              model.nuisance_obs_info(psi, lam, data),
+              model._score_weights(psi, lam, data),
+              model.replicate_expectation(bank, psi, lam, data),
+              np.array(core.modified_profile_loglik(model, data, bank, psi)),
+              core.envelope_gradient(model, data, psi, bank)]
+    if model.has_exact_expectation():
+        values.append(model.exact_bank(psi, lam, data).moments)
+    return values
+
+
+LINK_MECHANISMS = [(link, mechanism) for link in ("logit", "probit")
+                   for mechanism in ("mcar", "mnar")]
+
+
+class TestPsiPart:
+    @pytest.mark.parametrize("link, mechanism", LINK_MECHANISMS)
+    def test_kernels_match_a_fresh_model(self, link, mechanism):
+        model, data, other, psi, bank = part_case(link, mechanism)
+        fresh = kernel_values(BinaryMissingModel(link, mechanism), data, psi, bank)
+        for seen in (psi + 0.3, psi - 0.2):
+            kernel_values(model, data, seen, bank)
+        model.constrained_nuisance(psi, other)
+        for _ in range(2):  # a new part, then the remembered one
+            for got, want in zip(kernel_values(model, data, psi, bank), fresh):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("link, mechanism", LINK_MECHANISMS)
+    def test_datasets_at_the_same_psi_share_no_part(self, link, mechanism):
+        model, data, other, psi, bank = part_case(link, mechanism)
+        first = model._part(psi, data)
+        second = model._part(psi, other)
+        assert first.data is data and second.data is other
+        arrays = [f for f in vars(first) if isinstance(getattr(first, f), np.ndarray)]
+        assert not any(np.shares_memory(getattr(first, f), getattr(second, f))
+                       for f in arrays)
+        assert np.array_equal(model.constrained_nuisance(psi, other),
+                              BinaryMissingModel(link, mechanism).constrained_nuisance(
+                                  psi, other))
+
+    def test_memo_holds_at_most_two_parts(self):
+        model, data, other, psi, bank = part_case("logit", "mnar")
+        for k in range(6):
+            model.cluster_logliks(psi + 0.01 * k, np.zeros(data.n_clusters), data)
+            model.nuisance_score(psi, np.zeros(other.n_clusters), other)
+            assert len(model._parts) <= 2
+
+    @pytest.mark.parametrize("mechanism", ["mcar", "mnar"])
+    def test_part_arrays_are_read_only(self, mechanism):
+        model, data, _, psi, _ = part_case("logit", mechanism)
+        part = model._part(psi, data)
+        arrays = [v for v in vars(part).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == (8 if mechanism == "mnar" else 5)
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            part.y[0, 0] = 1.0
+
+    @pytest.mark.parametrize("link, mechanism", LINK_MECHANISMS)
+    def test_modified_evaluation_and_gradient_build_one_part_per_psi(
+            self, link, mechanism, monkeypatch):
+        model, data, _, psi, bank = part_case(link, mechanism)
+        builds = []
+        build = binary._PsiPart.build
+
+        def counted(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(binary._PsiPart, "build", counted)
+        solves = {}
+        core.modified_profile_loglik(model, data, bank, psi, solves=solves)
+        core.envelope_gradient(model, data, psi, bank, solves=solves)
+        assert len(builds) == 1 + 2 * psi.size
+
+
 class TestDropNoninformative:
     def test_all_ones_dropped(self):
         data = make_binary_dataset(np.array([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0]]),

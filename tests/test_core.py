@@ -10,6 +10,7 @@ from mcmpl.core import (
     NonPositiveSEError,
     substream,
 )
+from oracles import weibull_profile_loglik
 
 
 def mcar_toy():
@@ -242,7 +243,7 @@ class TestFit:
         model = weibull.WeibullSurvivalModel()
         fit = core.fit(model, data, "profile")
         grid = np.linspace(0.2, 4.0, 40_001)
-        vals = [weibull.profile_loglik(s, np.empty(0), data) for s in grid]
+        vals = [weibull_profile_loglik(s, np.empty(0), data) for s in grid]
         oracle = grid[int(np.argmax(vals))]
         assert abs(fit.psi_hat[0] - oracle) <= 1e-4 + (grid[1] - grid[0])
 
@@ -452,6 +453,44 @@ class TestEnvelopeGradient:
         assert calls
         for curve, ref in zip(curves, reference):
             assert np.allclose(curve, ref, rtol=0.0, atol=1e-6)
+
+    @pytest.mark.parametrize("param", ["beta1", "gamma2"])
+    def test_trace_gradient_differences_the_free_components_only(self, param,
+                                                                 monkeypatch):
+        model, kept, _, _, _ = gradient_case("logit-mnar")
+        p = len(model.param_names(kept))
+        loglik_calls = []
+        cluster_logliks = model.cluster_logliks
+
+        def counted_logliks(*args):
+            loglik_calls.append(1)
+            return cluster_logliks(*args)
+
+        per_gradient = []
+        envelope_gradient = core.envelope_gradient
+
+        def counted_gradient(*args, **kwargs):
+            before = len(loglik_calls)
+            g = envelope_gradient(*args, **kwargs)
+            per_gradient.append((len(loglik_calls) - before, None if g is None else g.size))
+            return g
+
+        monkeypatch.setattr(model, "cluster_logliks", counted_logliks)
+        monkeypatch.setattr(core, "envelope_gradient", counted_gradient)
+        core.trace_curves(model, kept, MonteCarloConfig(replicates=50, master_seed=5),
+                          param, [1.0])
+        traced = per_gradient[-1]
+        assert traced == (2 * (p - 1), p - 1)
+        # the profile stage before the trace still differences every component
+        assert per_gradient[0] == (2 * p, p)
+
+    def test_components_pick_entries_of_the_full_gradient(self):
+        model, kept, prof, bank, _ = gradient_case("logit-mnar")
+        psi = prof.psi_hat + 0.05
+        full = core.envelope_gradient(model, kept, psi, bank)
+        for components in ([0, 2], [1], [2, 0]):
+            part = core.envelope_gradient(model, kept, psi, bank, components=components)
+            assert np.array_equal(part, full[components])
 
     def test_infeasible_point_has_no_gradient(self):
         model, kept, _, bank, _ = gradient_case("weibull")

@@ -21,9 +21,9 @@ from mcmpl.weibull import (
     constrained_nuisance_closed_form,
     km_censoring,
     make_survival_dataset,
-    profile_loglik,
     relative_risk,
 )
+from oracles import weibull_profile_loglik as profile_loglik
 
 
 MODEL = WeibullSurvivalModel()
