@@ -144,7 +144,7 @@ class _PsiPart:
     y: np.ndarray                   # (N, T) recorded response, 0 elsewhere
     not_y: np.ndarray               # 1 - y
     xb: np.ndarray                  # (N, T) x beta
-    u0: np.ndarray | None = None    # clamp(x gamma1)
+    u0: np.ndarray | None = None    # x gamma1; only x gamma1 + gamma2 y is clamped
     z0: np.ndarray | None = None    # missingness probability at y = 0
     z1: np.ndarray | None = None    # and at y = 1
 
@@ -153,8 +153,8 @@ class _PsiPart:
         obs, mis, y = _recorded(data)
         arrays = dict(obs=obs, mis=mis, y=y, not_y=1.0 - y, xb=data.covariates @ beta)
         if mechanism == "mnar":
-            u0 = _clamp(data.covariates @ gamma1)
-            arrays.update(u0=u0, z0=G.cdf(u0), z1=G.cdf(_clamp(u0 + gamma2)))
+            u0 = data.covariates @ gamma1
+            arrays.update(u0=u0, z0=G.cdf(_clamp(u0)), z1=G.cdf(_clamp(u0 + gamma2)))
         for a in arrays.values():
             a.setflags(write=False)
         return cls(data=data, gamma2=gamma2, **arrays)

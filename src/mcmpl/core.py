@@ -182,9 +182,6 @@ class WaldInterval:
         if self.lo > self.hi:
             raise ValueError("need lo <= hi")
 
-    def contains(self, value: float) -> bool:
-        return self.lo <= value <= self.hi
-
 
 class ClusteredModel(ABC):
     """Behavior a clustered-data model supplies to the engine.

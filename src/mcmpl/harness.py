@@ -3,9 +3,11 @@ and table metrics.
 
 Every simulation setup studied here is reproducible from an experiment
 spec and a master seed: trial ``s`` draws from the Philox substream keyed
-by ``(s, 0)`` and the replicate bank of method ``k`` from the substream
-keyed by ``(s, 1 + k)``, so results are independent of the execution
-order and of the number of worker processes.
+by ``(s, 0)``. The replicate bank of method ``k`` is drawn by
+:func:`core.fit` from the substream ``(0,)`` of its own 32-bit master
+seed, which :func:`_mc_for` derives from the spec's seed and the key
+``(s, 1 + k)``. Results are therefore independent of the execution order
+and of the number of worker processes.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Numerical routines shared by every model fitter.
 
-Bounded scalar maximization, one quasi-Newton (BFGS) search for several
+Bounded scalar maximization (a grid climb whose bracket SciPy's bounded
+Brent method refines), one quasi-Newton (BFGS) search for several
 parameters, and central-difference derivatives. Every fit runs with the
 one set of settings below.
 
@@ -16,7 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 
 class NumericalFailure(ValueError):
@@ -39,20 +40,20 @@ class NonFiniteEvaluationError(NumericalFailure):
     """A finite-difference stencil point evaluated to a non-finite value."""
 
 
-#: x-tolerance of the bounded scalar search
+#: x-tolerance of the bounded scalar search: SciPy's bounded Brent stops
+#: once both ends of its bracket lie within 2(sqrt(eps)|x| + X_TOL/3) of
+#: its best point x, eps the double-precision machine epsilon
 X_TOL = 1e-8
 #: near-tie margin of a BFGS result against its start, and of the binary
 #: gamma2 wall probe
 F_TOL = 1e-10
 #: gradient tolerance of the BFGS search and of the convergence flag
 GRAD_TOL = 1e-6
-#: iteration cap of the bounded scalar search (BFGS stops at 200)
+#: cap on the objective evaluations of the bounded Brent refinement (BFGS
+#: stops at 200 iterations)
 MAX_ITERS = 2000
 #: interior grid points that seed the bounded scalar search
 SCALAR_GRID = 64
-
-#: fraction of the larger sub-interval used by a golden-section step
-_CGOLD = 0.3819660112501051
 
 
 @dataclass
@@ -68,12 +69,15 @@ def maximize_scalar_bounded(f, lo: float, hi: float, start: float) -> OptimResul
 
     The search hill-climbs over an equispaced interior grid from the point
     nearest ``start``, evaluating only the grid points it visits, and
-    refines the first local maximum reached by a golden-section search with
-    parabolic acceleration. If ``f`` is ``-inf`` at the starting grid point,
-    the whole grid is evaluated and the climb starts from its best point.
-    Objectives whose global maximum sits on a spurious re-increasing branch
-    are thereby maximized locally around the seed. Points where ``f`` is
-    ``-inf`` are infeasible; they shrink the bracket but are never returned.
+    refines the first local maximum reached by SciPy's bounded Brent method
+    (golden-section steps with parabolic acceleration) on the bracket
+    between its grid neighbours; the grid point is returned where the
+    refinement finds nothing higher. If ``f`` is ``-inf`` at the starting
+    grid point, the whole grid is evaluated and the climb starts from its
+    best point. Objectives whose global maximum sits on a spurious
+    re-increasing branch are thereby maximized locally around the seed.
+    Points where ``f`` is ``-inf`` are infeasible; they shrink the bracket
+    but are never returned.
 
     Raises
     ------
@@ -106,64 +110,22 @@ def maximize_scalar_bounded(f, lo: float, hi: float, start: float) -> OptimResul
                 k, moved = j, True
     a = xs[k - 1] if k > 0 else lo
     b = xs[k + 1] if k < SCALAR_GRID - 1 else hi
-    x, fx, n_iter, converged = _brent_max(f, a, b, xs[k], fs[k])
-    return OptimResult(argmax=x, value=fx, converged=converged,
-                       iterations=n_iter + int(np.count_nonzero(~np.isnan(fs))))
+    res = minimize_scalar(_negated(f), bounds=(a, b), method="bounded",
+                          options={"xatol": X_TOL, "maxiter": MAX_ITERS})
+    x, fx = float(res.x), -float(res.fun)
+    if not fx > fs[k]:
+        x, fx = float(xs[k]), float(fs[k])
+    return OptimResult(argmax=x, value=fx, converged=bool(res.success),
+                       iterations=res.nit + int(np.count_nonzero(~np.isnan(fs))))
 
 
-def _brent_max(f, a, b, x0, f0):
-    """Brent-style bounded maximization seeded at an interior point."""
-    x = w = v = x0
-    fx = fw = fv = f0
-    d = e = 0.0
-    for it in range(MAX_ITERS):
-        m = 0.5 * (a + b)
-        tol1 = 0.3 * X_TOL * (abs(x) + 1.0)
-        tol2 = 2.0 * tol1
-        if abs(x - m) <= tol2 - 0.5 * (b - a):
-            return x, fx, it, True
-        use_golden = True
-        if abs(e) > tol1 and np.isfinite(fx) and np.isfinite(fw) and np.isfinite(fv):
-            # successive parabolic interpolation through (v, w, x)
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            e_prev, e = e, d
-            if abs(p) < abs(0.5 * q * e_prev) and q * (a - x) < p < q * (b - x):
-                d = p / q
-                u = x + d
-                if (u - a) < tol2 or (b - u) < tol2:
-                    d = tol1 if m > x else -tol1
-                use_golden = False
-        if use_golden:
-            e = (b - x) if x < m else (a - x)
-            d = _CGOLD * e
-        u = x + d if abs(d) >= tol1 else x + (tol1 if d > 0 else -tol1)
-        fu = f(u)
-        if not np.isfinite(fu):
-            fu = -np.inf
-        if fu >= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, w, x = w, x, u
-            fv, fw, fx = fw, fx, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu >= fw or w == x:
-                v, fv = w, fw
-                w, fw = u, fu
-            elif fu >= fv or v == x or v == w:
-                v, fv = u, fu
-    return x, fx, MAX_ITERS, False
+def _negated(f):
+    """``-f`` for SciPy's minimizers, 1e300 (above every finite value) where
+    ``f`` is not finite."""
+    def neg(x):
+        v = f(x)
+        return -v if np.isfinite(v) else 1e300
+    return neg
 
 
 def maximize_multivariate(f, x0, grad=None) -> OptimResult:
@@ -189,10 +151,6 @@ def maximize_multivariate(f, x0, grad=None) -> OptimResult:
     if not np.isfinite(f0):
         raise NonFiniteStartError("objective not finite at the starting point")
 
-    def neg(z):
-        v = f(z)
-        return -v if np.isfinite(v) else 1e300
-
     def neg_grad(z):
         g = None if grad is None else grad(z)
         if g is None:
@@ -204,7 +162,7 @@ def maximize_multivariate(f, x0, grad=None) -> OptimResult:
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        res = minimize(neg, x0, jac=neg_grad, method="BFGS",
+        res = minimize(_negated(f), x0, jac=neg_grad, method="BFGS",
                        options={"gtol": GRAD_TOL, "maxiter": 200})
     value = -float(res.fun)
     # accept near-ties with ``f0``: the search ended on a small gradient,

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.special import expit, ndtr
+from scipy.special import expit, log_expit, ndtr
 from scipy.stats import norm
 
 from mcmpl import binary, core, harness, optim
@@ -48,6 +48,20 @@ class TestClusterObsLoglik:
         psi = np.array([0.0, np.log(0.2 / 0.8), 0.0])
         assert MNAR.cluster_logliks(psi, np.zeros(1), data)[0] == pytest.approx(
             np.log(0.5) + np.log(0.8), abs=1e-10)
+
+    def test_missingness_predictor_clamped_whole(self):
+        # x gamma1 = 50 lies past the predictor clamp; each missingness
+        # predictor x gamma1 + gamma2 y is clamped, not x gamma1 alone
+        data = make_binary_dataset(np.array([[1.0, 0.0, np.nan]]),
+                                   np.array([[20.0, 0.1, 20.0]]),
+                                   np.array([[0.0, 0.0, 1.0]]))
+        psi, lam = np.array([0.05, 2.5, -30.0]), 0.2
+        pi = expit(lam + 0.05 * 20.0)
+        expected = (log_expit(lam + 0.05 * 20.0) + log_expit(-(50.0 - 30.0))
+                    + log_expit(-(lam + 0.05 * 0.1)) + log_expit(-0.25)
+                    + np.log(pi * expit(50.0 - 30.0) + (1.0 - pi) * expit(35.0)))
+        ll = MNAR.cluster_logliks(psi, np.array([lam]), data)[0]
+        assert ll == pytest.approx(expected, abs=1e-10)
 
     def test_collapses_to_mcar_plus_missingness_terms(self):
         rng = np.random.default_rng(7)
@@ -420,6 +434,17 @@ class TestTwoValuedDraw:
         assert bank.scores_at_mle.tobytes() == scores.tobytes()
         assert bank.moments.tobytes() == moments.tobytes()
         assert np.array_equal(rng.random(16), ref_rng.random(16))
+
+    def test_deletion_predictor_clamped_whole(self):
+        # x gamma1 = -50 lies past the predictor clamp and every response
+        # draws y = 1: the deletion probability G(-50 + 30) ~ 2e-9 deletes
+        # nothing, where G(-35 + 30) ~ 0.007 would delete about 13 of 2000
+        data = make_binary_dataset(np.array([[1.0]]), np.array([[-20.0]]),
+                                   np.array([[0.0]]))
+        draws = MNAR._draw_replicates(np.array([0.0, 2.5, 30.0]), np.array([40.0]),
+                                      data, substream(36, 0), 2000)
+        assert draws.obs_y.all()
+        assert not draws.miss.any()
 
 
 def part_case(link, mechanism):

@@ -59,6 +59,17 @@ class TestScalarBounded:
         grid = 5.0 * np.arange(1, SCALAR_GRID + 1) / (SCALAR_GRID + 1.0)
         assert np.isin(grid, calls).sum() < 10
 
+    def test_never_returns_below_the_climb(self):
+        # a spike at the climb's grid point that the refinement never meets
+        peak = (np.arange(1, SCALAR_GRID + 1) / (SCALAR_GRID + 1.0))[20]
+
+        def f(x):
+            return 0.0 if x == peak else -1.0 - 0.01 * x
+
+        res = maximize_scalar_bounded(f, 0.0, 1.0, peak)
+        assert res.argmax == peak
+        assert res.value == 0.0
+
     def test_all_infeasible(self):
         with pytest.raises(NoFinitePointError):
             maximize_scalar_bounded(lambda x: -np.inf, 0, 1, 0.5)
