@@ -4,7 +4,9 @@ Everything profiles in closed form down to the autoregressive parameter:
 the intercepts are linear in it, the innovation variance has an explicit
 constrained estimate, and :meth:`AR1PanelModel.maximize` reduces both
 searches of :func:`core.fit` to a closed form and a bounded
-one-dimensional search.
+one-dimensional search. Traces take the generic :func:`core.trace_curves`,
+whose search in the variance finds its constrained values, RSS/NT on the
+profile curve and RSS/N(T-1) on the modified one.
 """
 
 from __future__ import annotations
@@ -216,18 +218,3 @@ def fit_bounded(data: ClusteredDataset, mc: MonteCarloConfig | None = None,
     """:func:`core.fit` of :class:`AR1PanelModel`."""
     return core.fit(AR1PanelModel(), data, method, mc)
 
-
-def trace_curves(model, data: ClusteredDataset, mc: MonteCarloConfig, param, grid):
-    """Profile and modified curves in rho, with the variance at its explicit
-    constrained estimate (RSS/NT and RSS/N(T-1)) at every grid point."""
-    if param != "rho":
-        raise ValueError("AR(1) traces support --param rho")
-    psi_mle = model.initial_psi(data)
-    bank = model.build_replicates(psi_mle, model.constrained_nuisance(psi_mle, data),
-                                  data, mc.generator(0), mc.replicates)
-    lp, lm = [], []
-    for rho in grid:
-        lp.append(core.profile_loglik(model, data, _with_sigma2(rho, data, "NT")))
-        lm.append(core.modified_profile_loglik(
-            model, data, bank, _with_sigma2(rho, data, "N(T-1)")))
-    return lp, lm

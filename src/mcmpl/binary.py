@@ -399,13 +399,8 @@ class BinaryMissingModel(ClusteredModel):
 
     def bound_hits(self, psi):
         if self.mechanism == "mnar" and abs(psi[-1]) >= GAMMA2_BOUND - 0.5:
-            return ("gamma2_at_bound",)
-        return ()
-
-    def bound_components(self, data):
-        if self.mechanism == "mnar":
-            return (2 * data.n_covariates,)
-        return ()
+            return {"gamma2_at_bound": psi.size - 1}
+        return {}
 
     def maximize(self, objective, start, data, modified, grad=None):
         """One search from ``start``, then, under mnar, one probe near the
@@ -418,7 +413,7 @@ class BinaryMissingModel(ClusteredModel):
         flags it.
         """
         res = optim.maximize_multivariate(objective, start, grad)
-        if not self.bound_components(data):
+        if self.mechanism != "mnar":
             return res
         wall = np.array(res.argmax, dtype=float)
         wall[-1] = np.copysign(GAMMA2_BOUND - 0.25, wall[-1])

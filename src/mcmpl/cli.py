@@ -116,8 +116,12 @@ def _parse_grid(text):
     if len(parts) != 3:
         raise ValueError("grid must be LO:HI:STEP")
     lo, hi, step = (float(p) for p in parts)
+    if not np.all(np.isfinite([lo, hi, step, hi - lo, hi + 0.5 * step])):
+        raise ValueError(f"grid {text!r} leaves the floating-point range")
     if step <= 0 or lo >= hi:
         raise ValueError("grid needs step > 0 and lo < hi")
+    if (hi - lo) / step > 1e6:
+        raise ValueError(f"grid {text!r} has more than 10^6 points")
     grid = np.arange(lo, hi + 0.5 * step, step)
     if grid.size == 0:
         raise ValueError("empty grid")
@@ -139,9 +143,8 @@ def cmd_trace(args) -> int:
         kind, link, mechanism = args.model, args.link, args.mechanism
         data = io.read_dataset(args.data, kind)
         mc = MonteCarloConfig(replicates=args.replicates, master_seed=args.seed)
-    family = harness.FAMILIES[kind]
-    grid_lp, grid_lm = family.trace(family.model(link, mechanism), data, mc,
-                                    args.param, grid)
+    model = harness.FAMILIES[kind].model(link, mechanism)
+    grid_lp, grid_lm = core.trace_curves(model, data, mc, args.param, grid)
     io.write_trace(args.out, grid, _relative(grid_lp), _relative(grid_lm))
     return 0
 

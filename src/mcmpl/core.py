@@ -254,13 +254,10 @@ class ClusteredModel(ABC):
         """
         return optim.maximize_multivariate(objective, start, grad)
 
-    def bound_hits(self, psi) -> tuple[str, ...]:
-        """Warning flags for components of psi pinned at a search bound."""
-        return ()
-
-    def bound_components(self, data) -> tuple[int, ...]:
-        """Indices of psi that a bound hit leaves without a standard error."""
-        return ()
+    def bound_hits(self, psi) -> dict[str, int]:
+        """``{warning flag: index}`` of each component of psi pinned at a
+        search bound; that component gets no standard error."""
+        return {}
 
 
 def drop_noninformative(model: ClusteredModel, data: ClusteredDataset):
@@ -477,12 +474,11 @@ def fit(model: ClusteredModel, data: ClusteredDataset, method: str = "mcmpl",
 
     psi_hat = np.atleast_1d(np.asarray(opt.argmax, dtype=float))
     names = model.param_names(kept)
-    bound_hits = model.bound_hits(psi_hat)
-    warnings_.extend(bound_hits)
+    hits = model.bound_hits(psi_hat)
+    warnings_.extend(hits)
 
-    se, cov = _standard_errors(objective, psi_hat,
-                               frozen=bound_hits and model.bound_components(kept))
-    if np.any(~np.isfinite(se)) and not bound_hits:
+    se, cov = _standard_errors(objective, psi_hat, frozen=tuple(hits.values()))
+    if np.any(~np.isfinite(se)) and not hits:
         warnings_.append("hessian_not_negative_definite")
 
     lam_hat = np.array(_solve(model, kept, psi_hat, solves))
@@ -537,7 +533,8 @@ def wald_interval(fit_result: FitResult, component: int, level: float = 0.95) ->
 def trace_curves(model: ClusteredModel, data: ClusteredDataset, mc: MonteCarloConfig,
                  param: str, grid):
     """Curves in one interest component, maximizing over the others from the
-    :func:`profile_stage` maximizer, at which the replicate bank is drawn."""
+    :func:`profile_stage` maximizer, at which the replicate bank is drawn.
+    Every family traces this way."""
     names = model.param_names(data)
     if param not in names:
         raise ValueError(f"unknown parameter {param!r}; choices: {', '.join(names)}")

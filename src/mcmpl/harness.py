@@ -288,7 +288,8 @@ class Family:
 
     A dataset file has the columns ``cluster``, ``t``, then ``columns``, then
     the covariates ``x1..xp``; ``read_row`` checks one row's ``columns``
-    values (ValueError) and returns its response and indicator.
+    values (ValueError) and returns its response and indicator. Fits and
+    traces of every family go through :mod:`core` alone.
     """
 
     model: Callable                # (link, mechanism) -> ClusteredModel
@@ -299,7 +300,6 @@ class Family:
     check_spec: Callable = lambda spec: None  # ValueError: design it cannot simulate
     check_data: Callable = lambda data: None  # ValueError: parsed file it cannot fit
     derived: Callable = lambda fit: []        # fit -> extra (name, estimate, se) rows
-    trace: Callable = core.trace_curves       # (model, data, mc, param, grid) -> curves
     nullable: tuple[str, ...] = ()            # file columns that may be left empty
     initial_row: bool = False                 # a t=0 row holds the initial condition
     mechanisms: tuple[str, ...] = ()          # method-tag prefixes: analysis mechanism
@@ -320,8 +320,7 @@ FAMILIES = {
         model=lambda link, mechanism: ar1.AR1PanelModel(),
         generate=generate_ar1_dataset, truth=_panel_truth, columns=("y",),
         read_row=lambda y: (y, 0.0), check_spec=_check_panel_spec,
-        check_data=_check_panel,
-        trace=ar1.trace_curves, initial_row=True),
+        check_data=_check_panel, initial_row=True),
 }
 
 

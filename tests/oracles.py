@@ -3,6 +3,8 @@ value the package computes another way."""
 
 import numpy as np
 
+from mcmpl import core
+from mcmpl.ar1 import _with_sigma2
 from mcmpl.weibull import (
     NoEventsError,
     NonPositiveShapeError,
@@ -31,3 +33,20 @@ def weibull_profile_loglik(shape, beta, data) -> float:
                    + d_tot * (np.log(shape) - 1.0)
                    + (shape - 1.0) * (delta * logy).sum(axis=1))
     return float(per_cluster.sum())
+
+
+def ar1_trace_curves(model, data: core.ClusteredDataset, mc: core.MonteCarloConfig,
+                     param, grid):
+    """Profile and modified curves in rho, with the variance at its explicit
+    constrained estimate (RSS/NT and RSS/N(T-1)) at every grid point."""
+    if param != "rho":
+        raise ValueError("AR(1) traces support --param rho")
+    psi_mle = model.initial_psi(data)
+    bank = model.build_replicates(psi_mle, model.constrained_nuisance(psi_mle, data),
+                                  data, mc.generator(0), mc.replicates)
+    lp, lm = [], []
+    for rho in grid:
+        lp.append(core.profile_loglik(model, data, _with_sigma2(rho, data, "NT")))
+        lm.append(core.modified_profile_loglik(
+            model, data, bank, _with_sigma2(rho, data, "N(T-1)")))
+    return lp, lm

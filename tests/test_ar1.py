@@ -12,6 +12,7 @@ from mcmpl.ar1 import (
     ols_fit,
 )
 from mcmpl.core import MonteCarloConfig, substream
+from oracles import ar1_trace_curves
 
 
 def loglik(rho, sigma2, lam, data):
@@ -320,3 +321,27 @@ class TestFitBounded:
         assert abs(mod.psi_hat[0] - 0.5) < 0.12  # correction recenters
         assert np.all(np.isfinite(prof.std_errors))
         assert np.all(np.isfinite(mod.std_errors))
+
+
+class TestTrace:
+    #: (N, T, rho) of each dataset
+    DESIGNS = [(40, 6, 0.5), (250, 8, 0.5), (60, 4, 0.9), (100, 5, 0.0)]
+    #: reaches past the modified curve's feasibility edge, where it is -inf
+    GRID = [-0.5, 0.0, 0.3, 0.5, 0.9, 1.2, 1.5]
+
+    @pytest.mark.parametrize("n, t, rho", DESIGNS)
+    def test_generic_curves_match_the_closed_form_variance(self, n, t, rho):
+        # core.trace_curves re-maximizes sigma2 at each rho; the oracle puts
+        # it at RSS/NT (profile) and RSS/N(T-1) (modified)
+        data = simulate_panel(n, t, rho=rho, seed=n + t)
+        mc = MonteCarloConfig(replicates=200, master_seed=17)
+        model = AR1PanelModel()
+        generic = core.trace_curves(model, data, mc, "rho", self.GRID)
+        oracle = ar1_trace_curves(model, data, mc, "rho", self.GRID)
+        assert not np.isfinite(oracle[1]).all()
+        for got, want in zip(generic, oracle):
+            got, want = np.array(got), np.array(want)
+            finite = np.isfinite(want)
+            assert np.array_equal(np.isfinite(got), finite)
+            assert np.all(np.abs(got[finite] - want[finite])
+                          <= 1e-9 * (1.0 + np.abs(want[finite])))

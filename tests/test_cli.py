@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from mcmpl import ar1, binary, core, harness, io, weibull
 from mcmpl.cli import main
-from mcmpl.core import substream
+from mcmpl.core import MonteCarloConfig, substream
 
 
 def write_lines(path, lines):
@@ -476,6 +476,24 @@ class TestTraceCommand:
         assert abs(inside.min() - lo_exact) <= 2 * step
         assert abs(inside.max() - hi_exact) <= 2 * step
 
+    def test_ar1_sigma2_trace_peaks_at_the_fits(self, tmp_path):
+        # sigma2 is re-maximized over rho like any other component, so each
+        # curve peaks within one grid step of its own fit's variance
+        path, _ = ar1_csv(tmp_path, n=200, t=8, seed=41)
+        out = str(tmp_path / "trace.csv")
+        step = 0.005
+        assert main(["trace", "--model", "ar1", "--data", path, "--param", "sigma2",
+                     "--grid", f"0.6:1.4:{step}", "--replicates", "200",
+                     "--seed", "41", "--out", out]) == 0
+        _, rows = read_table(out)
+        grid = np.array([float(r[0]) for r in rows])
+        data = io.read_dataset(path, "ar1")
+        mc = MonteCarloConfig(replicates=200, master_seed=41)
+        for column, method in ((1, "profile"), (2, "mcmpl")):
+            curve = np.array([float(r[column]) if r[column] else -np.inf for r in rows])
+            fit = core.fit(ar1.AR1PanelModel(), data, method, mc)
+            assert abs(grid[np.argmax(curve)] - fit.psi_hat[1]) <= step
+
     def test_binary_trace_from_config(self, tmp_path):
         cfg = write_lines(tmp_path / "exp.cfg", [
             "model = binary", "mechanism = mcar", "N = 40", "T = 5", "S = 2",
@@ -496,6 +514,17 @@ class TestTraceCommand:
                      "--out", str(tmp_path / "t.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "replicate" in err
+
+    @pytest.mark.parametrize("grid", ["0:1:1e-15", "-1e308:1e308:1e300"])
+    def test_unbounded_grid_exit_one(self, tmp_path, capsys, grid):
+        # too many points, or a span past the floating-point range
+        path, _ = ar1_csv(tmp_path)
+        out = tmp_path / "t.csv"
+        assert main(["trace", "--model", "ar1", "--data", path, "--param", "rho",
+                     f"--grid={grid}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: grid '{grid}'") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
         path, _ = ar1_csv(tmp_path)
