@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import expit, log_expit, log_ndtr, ndtr
 
 from . import optim
-from .core import ClusteredDataset, ClusteredModel, make_dataset
+from .core import ClusteredDataset, ClusteredModel, _recent_part, make_dataset
 
 #: linear predictors are clamped here before any link evaluation; beyond
 #: this the probabilities are numerically 0/1 in double precision
@@ -161,10 +161,6 @@ class _PsiPart:
 
     def eta(self, lam):
         return _clamp(np.asarray(lam, dtype=float)[:, None] + self.xb)
-
-
-#: psi values whose parts a model keeps: a gradient stencil alternates two
-_PART_MEMO = 2
 
 
 # ---------------------------------------------------------------------------
@@ -356,14 +352,8 @@ class BinaryMissingModel(ClusteredModel):
         """The :class:`_PsiPart` at ``psi`` on ``data``, from the memo when
         the pair was among the last ones asked for."""
         psi = np.atleast_1d(np.asarray(psi, dtype=float))
-        key = psi.tobytes()
-        part = self._parts.pop(key, None)
-        if part is None or part.data is not data:
-            if len(self._parts) >= _PART_MEMO:
-                del self._parts[next(iter(self._parts))]
-            part = _PsiPart.build(self.mechanism, *self._split(psi, data.n_covariates), data)
-        self._parts[key] = part
-        return part
+        return _recent_part(self._parts, psi.tobytes(), data, lambda: _PsiPart.build(
+            self.mechanism, *self._split(psi, data.n_covariates), data))
 
     # -- parameter packing ---------------------------------------------------
 

@@ -260,6 +260,22 @@ class ClusteredModel(ABC):
         return {}
 
 
+#: parts a model keeps: a gradient stencil alternates two points
+_PART_MEMO = 2
+
+
+def _recent_part(parts: dict, key: bytes, data: ClusteredDataset, build):
+    """``parts[key]`` when it was built on ``data``, else ``build()`` stored
+    there; ``parts`` keeps the last :data:`_PART_MEMO` keys, oldest first."""
+    part = parts.pop(key, None)
+    if part is None or part.data is not data:
+        if len(parts) >= _PART_MEMO:
+            del parts[next(iter(parts))]
+        part = build()
+    parts[key] = part
+    return part
+
+
 def drop_noninformative(model: ClusteredModel, data: ClusteredDataset):
     """Remove clusters that cannot contribute to the interest parameter."""
     mask = model.informative_mask(data)

@@ -9,13 +9,14 @@ Carlo modification available without parametric censoring assumptions.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
 
 from . import optim
-from .core import ClusteredDataset, ClusteredModel, NonFiniteDrawError, make_dataset
+from .core import (ClusteredDataset, ClusteredModel, NonFiniteDrawError, _recent_part,
+                   make_dataset)
 
 #: log-response placeholder for padded slots; exp(shape * _PAD) == 0
 _PAD = -1e30
@@ -116,11 +117,53 @@ def _check_times(data):
         raise NonPositiveTimeError("all observation times must be positive")
 
 
-def _log_time_linpred(beta, data):
-    """log y - beta'x with padded slots pushed to an exp-killing constant."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logy = np.log(data.responses)
-    return np.where(data.unit_mask, logy - data.covariates @ beta, _PAD)
+@dataclass(frozen=True)
+class _BetaPart:
+    """What every kernel reads at one beta on ``data``; the shape enters no
+    piece, and the arrays are read-only."""
+
+    data: ClusteredDataset
+    logy: np.ndarray        # (N, T) log y, 0 in padding
+    delta: np.ndarray       # (N, T) event indicators, 0 in padding
+    events: np.ndarray      # (N,) events per cluster
+    delta_logy: np.ndarray  # (N,) sum over events of log y
+    xb: np.ndarray          # (N, T) x beta
+    linpred: np.ndarray     # (N, T) log y - x beta, _PAD in padding
+
+    @classmethod
+    def build(cls, beta, data, like=None):
+        """The part at ``beta``; ``like``, a part on ``data``, lends the rest."""
+        mask = data.unit_mask
+        if like is None or like.data is not data:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                logy = np.where(mask, np.log(data.responses), 0.0)
+            delta = np.where(mask, data.indicators, 0.0)
+            like = cls(data, logy, delta, delta.sum(axis=1), (delta * logy).sum(axis=1),
+                       xb=None, linpred=None)
+        xb = data.covariates @ np.atleast_1d(np.asarray(beta, dtype=float))
+        part = replace(like, xb=xb, linpred=np.where(mask, like.logy - xb, _PAD))
+        for a in vars(part).values():
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+        return part
+
+    def log_eta(self, lam):
+        """-(lam + x beta) per unit, 0 in padded slots."""
+        return np.where(self.data.unit_mask, -(np.reshape(lam, (-1, 1)) + self.xb), 0.0)
+
+    def pow_sums(self, shape, log_eta):
+        """Per-cluster sum over units of (eta y)^shape."""
+        with np.errstate(over="ignore"):
+            return np.where(self.data.unit_mask,
+                            np.exp(shape * (log_eta + self.logy)), 0.0).sum(axis=1)
+
+    def closed_form(self, shape) -> np.ndarray:
+        """The constrained intercepts; see :func:`constrained_nuisance_closed_form`."""
+        if not shape > 0.0:
+            raise NonPositiveShapeError(f"shape {shape} must be positive")
+        if np.any(self.events < 1.0):
+            raise NoEventsError("a cluster without events was not dropped")
+        return (_logsumexp_rows(shape * self.linpred) - np.log(self.events)) / shape
 
 
 def constrained_nuisance_closed_form(shape, beta, data: ClusteredDataset) -> np.ndarray:
@@ -132,13 +175,7 @@ def constrained_nuisance_closed_form(shape, beta, data: ClusteredDataset) -> np.
         If some cluster records no events (its estimate is not finite and
         the cluster must be discarded beforehand).
     """
-    if not shape > 0.0:
-        raise NonPositiveShapeError(f"shape {shape} must be positive")
-    d_tot = np.where(data.unit_mask, data.indicators, 0.0).sum(axis=1)
-    if np.any(d_tot < 1.0):
-        raise NoEventsError("a cluster without events was not dropped")
-    w = shape * _log_time_linpred(np.atleast_1d(beta), data)
-    return (_logsumexp_rows(w) - np.log(d_tot)) / shape
+    return _BetaPart.build(beta, data).closed_form(shape)
 
 
 def km_censoring(data: ClusteredDataset) -> KMCurve:
@@ -154,13 +191,10 @@ def km_censoring(data: ClusteredDataset) -> KMCurve:
         raise EmptyDataError("no units to pool")
     _check_times(data)
     times = data.responses[mask]
-    c_event = data.indicators[mask] == 0.0
-    event_times = np.unique(times[c_event])
+    event_times, d = np.unique(times[data.indicators[mask] == 0.0], return_counts=True)
     if event_times.size == 0:
         return KMCurve(jump_times=np.empty(0), survival_values=np.empty(0))
-    order = np.sort(times)
-    n_at_risk = times.size - np.searchsorted(order, event_times, side="left")
-    d = np.array([(times[c_event] == t).sum() for t in event_times], dtype=float)
+    n_at_risk = times.size - np.searchsorted(np.sort(times), event_times, side="left")
     surv = np.cumprod(1.0 - d / n_at_risk)
     keep = np.ones(event_times.size, dtype=bool)
     keep[1:] = np.diff(surv) < 0  # merge ties that leave the curve flat
@@ -253,21 +287,6 @@ def make_survival_dataset(times, events, covariates, unit_mask=None,
     return data
 
 
-def _log_eta(psi, lam, data):
-    """-(lam + x beta) per unit, 0 in padded slots."""
-    lam = np.broadcast_to(np.atleast_1d(np.asarray(lam, float)), (data.n_clusters,))
-    return np.where(data.unit_mask,
-                    -(lam[:, None] + data.covariates @ np.asarray(psi[1:], float)), 0.0)
-
-
-def _pow_sums(psi, lam, data):
-    """Per-cluster sum over units of (eta y)^shape."""
-    log_eta_y = np.where(data.unit_mask,
-                         np.log(data.responses) + _log_eta(psi, lam, data), _PAD)
-    with np.errstate(over="ignore"):
-        return np.exp(psi[0] * log_eta_y).sum(axis=1)
-
-
 #: shape values whose replicate moments a bank keeps: a stencil's centre and sides
 _MOMENT_MEMO = 3
 
@@ -281,29 +300,35 @@ class _WeibullReplicateBank:
     so its product with the score at the fit, averaged over replicates,
     factors into ``exp(shape * (e - e_mle))`` times the (N, T) moment
     ``mean_r exp(shape * (l_rt + e_mle_t)) * scores_at_mle_r``. That moment
-    depends on the shape alone, and ``moments`` keeps it for the last few
-    shape values seen.
+    depends on the shape alone; ``moments`` keeps it for the last few shapes,
+    and a new shape's pass runs in ``buffer`` over the log times shifted by e_mle.
     """
 
-    log_times: np.ndarray      # (R, N, T), padded to _PAD
+    shifted_log_times: np.ndarray  # (R, N, T) log t + eta_mle, _PAD in padding
     event_sums: np.ndarray     # (R, N)
     scores_at_mle: np.ndarray  # (R, N)
     eta_mle: np.ndarray        # (N, T) -(lam + x beta) at the fit, 0 in padding
     event_moment: np.ndarray   # (N,) mean_r event_sums * scores_at_mle
+    buffer: np.ndarray = field(repr=False)  # (R, N, T) scratch of a moment pass
     moments: dict = field(default_factory=dict, repr=False)  # shape -> (N, T)
 
+    @property
+    def log_times(self) -> np.ndarray:
+        """(R, N, T) replicate log times, _PAD in padding."""
+        return self.shifted_log_times - self.eta_mle
+
     def moment(self, shape: float) -> np.ndarray:
-        """``mean_r exp(shape * (log_times + eta_mle)) * scores_at_mle``,
-        from the memo when ``shape`` was among the last ones asked for."""
+        """``mean_r exp(shape * shifted_log_times) * scores_at_mle``, from
+        the memo when ``shape`` was among the last ones asked for."""
         m = self.moments.pop(shape, None)
         if m is None:
             if len(self.moments) >= _MOMENT_MEMO:
                 del self.moments[next(iter(self.moments))]
-            a = self.log_times + self.eta_mle
+            a = self.buffer
             # far from the fit the exp overflows; the expectation is then
             # non-finite and the modification undefined there
             with np.errstate(over="ignore", invalid="ignore"):
-                a *= shape
+                np.multiply(self.shifted_log_times, shape, out=a)
                 np.exp(a, out=a)
                 a *= self.scores_at_mle[:, :, None]
             m = a.mean(axis=0)
@@ -312,7 +337,17 @@ class _WeibullReplicateBank:
 
 
 class WeibullSurvivalModel(ClusteredModel):
-    """Engine adapter; interest parameter is (shape, beta_1, ..., beta_p)."""
+    """Engine adapter; interest parameter is (shape, beta_1, ..., beta_p). The
+    model keeps the :class:`_BetaPart` of the last two (beta, dataset) pairs."""
+
+    def __init__(self):
+        self._parts = {}  # beta.tobytes() -> _BetaPart, oldest first
+
+    def _part(self, psi, data):
+        """The :class:`_BetaPart` at ``psi[1:]`` on ``data``, memoized."""
+        beta = np.asarray(psi, dtype=float)[1:]
+        return _recent_part(self._parts, beta.tobytes(), data, lambda: _BetaPart.build(
+            beta, data, like=next(reversed(self._parts.values()), None)))
 
     def param_names(self, data):
         return ("xi",) + tuple(f"beta{j + 1}" for j in range(data.n_covariates))
@@ -336,29 +371,26 @@ class WeibullSurvivalModel(ClusteredModel):
         shape = psi[0]
         if not shape > 0.0:
             raise NonPositiveShapeError(f"shape {shape} must be positive")
-        delta = np.where(data.unit_mask, data.indicators, 0.0)
-        d_tot = delta.sum(axis=1)
-        log_eta = _log_eta(psi, lam, data)
-        logy = np.where(data.unit_mask, np.log(data.responses), 0.0)
-        with np.errstate(over="ignore"):
-            pow_sum = np.where(data.unit_mask,
-                               np.exp(shape * (log_eta + logy)), 0.0).sum(axis=1)
-        return (shape * (delta * log_eta).sum(axis=1) + d_tot * np.log(shape)
-                + (shape - 1.0) * (delta * logy).sum(axis=1) - pow_sum)
+        part = self._part(psi, data)
+        log_eta = part.log_eta(lam)
+        return (shape * (part.delta * log_eta).sum(axis=1) + part.events * np.log(shape)
+                + (shape - 1.0) * part.delta_logy - part.pow_sums(shape, log_eta))
 
     def nuisance_score(self, psi, lam, data):
         """Per-cluster intercept score: -shape * events + shape * sum (eta y)^shape."""
-        delta = np.where(data.unit_mask, data.indicators, 0.0)
-        return psi[0] * (_pow_sums(psi, lam, data) - delta.sum(axis=1))
+        part = self._part(psi, data)
+        return psi[0] * (part.pow_sums(psi[0], part.log_eta(lam)) - part.events)
 
     def nuisance_obs_info(self, psi, lam, data):
         """Per-cluster observed information: shape^2 * sum (eta y)^shape."""
-        return psi[0] ** 2 * _pow_sums(psi, lam, data)
+        part = self._part(psi, data)
+        return psi[0] ** 2 * part.pow_sums(psi[0], part.log_eta(lam))
 
     def constrained_nuisance(self, psi, data):
-        ok = np.where(data.unit_mask, data.indicators, 0.0).sum(axis=1) >= 1.0
+        part = self._part(psi, data)
+        ok = part.events >= 1.0
         if ok.all():
-            return constrained_nuisance_closed_form(psi[0], psi[1:], data)
+            return part.closed_form(psi[0])
         out = np.full(data.n_clusters, np.inf)
         if ok.any():
             out[ok] = constrained_nuisance_closed_form(psi[0], psi[1:], data.subset(ok))
@@ -369,52 +401,44 @@ class WeibullSurvivalModel(ClusteredModel):
         bootstrap from the pooled Kaplan-Meier curve."""
         km = km_censoring(data)
         shape = float(psi[0])
-        lam = np.asarray(lam, dtype=float)
-        log_eta = -(lam[:, None] + data.covariates @ np.asarray(psi[1:], float))
+        eta_mle = self._part(psi, data).log_eta(lam)
         shape3 = (n_replicates,) + data.responses.shape
-        draws = rng.standard_exponential(shape3)
+        new_fail = rng.standard_exponential(shape3)
         with np.errstate(over="ignore"):
-            new_fail = draws ** (1.0 / shape) * np.exp(-log_eta)[None]
+            new_fail **= 1.0 / shape
+            new_fail *= np.exp(-eta_mle)[None]
         if not np.all(np.isfinite(new_fail)):
             raise NonFiniteDrawError("replicate failure times overflow at the fitted "
                                      "scale and shape")
         u = rng.random(shape3)
         base = np.where(data.unit_mask, data.responses, 1.0)
-        cens = np.where((data.indicators == 0.0)[None], base[None],
-                        conditional_bootstrap_censoring(km, base, u))
+        cens = np.repeat(base[None], n_replicates, axis=0)
+        redrawn = data.indicators != 0.0  # a censored unit keeps its own time
+        cens[:, redrawn] = conditional_bootstrap_censoring(km, base[redrawn], u[:, redrawn])
         times = np.minimum(new_fail, cens)
         events = np.where(data.unit_mask[None], (new_fail <= cens).astype(float), 0.0)
         with np.errstate(divide="ignore"):
-            log_times = np.where(data.unit_mask[None], np.log(times), _PAD)
+            shifted = np.where(data.unit_mask[None], np.log(times), _PAD)
         event_sums = events.sum(axis=2)
-        eta_mle = _log_eta(psi, lam, data)
-        # one exp pass gives the scores at the fit and the moment at its shape,
-        # in the arithmetic of self._replicate_scores and _WeibullReplicateBank.moment
-        power = log_times + eta_mle
+        shifted += eta_mle  # padding stays at _PAD
+        # the pass of moment() at the fitted shape, which also gives the scores there
+        power = shifted * shape
         with np.errstate(over="ignore", invalid="ignore"):
-            power *= shape
             np.exp(power, out=power)
             scores = shape * (power.sum(axis=2) - event_sums)
             power *= scores[:, :, None]
-        bank = _WeibullReplicateBank(log_times=log_times, event_sums=event_sums,
+        bank = _WeibullReplicateBank(shifted_log_times=shifted, event_sums=event_sums,
                                      scores_at_mle=scores, eta_mle=eta_mle,
-                                     event_moment=(event_sums * scores).mean(axis=0))
+                                     event_moment=(event_sums * scores).mean(axis=0),
+                                     buffer=power)
         bank.moments[shape] = power.mean(axis=0)
         return bank
-
-    def _replicate_scores(self, bank, psi, lam, data):
-        """(R, N) nuisance scores of the bank's replicates at ``(psi, lam)``."""
-        shape = float(psi[0])
-        with np.errstate(over="ignore"):
-            pow_sum = np.exp(shape * (bank.log_times
-                                      + _log_eta(psi, lam, data)[None])).sum(axis=2)
-        return shape * (pow_sum - bank.event_sums)
 
     def replicate_expectation(self, bank, psi, lam_psi, data):
         """Mean over the bank of the score product, through the bank's
         per-shape moment: one (R, N, T) pass per new shape, O(NT) after."""
         shape = float(psi[0])
-        ratio = _log_eta(psi, lam_psi, data) - bank.eta_mle
+        ratio = self._part(psi, data).log_eta(lam_psi) - bank.eta_mle
         with np.errstate(over="ignore", invalid="ignore"):
             ratio *= shape
             np.exp(ratio, out=ratio)

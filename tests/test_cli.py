@@ -298,6 +298,18 @@ class TestSimulateCommand:
                      "--threads", "2"]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
+    def test_weibull_thread_invariance_bytes(self, tmp_path):
+        # the Weibull model and bank keep memos and a reused moment buffer
+        config = {**BASE_CONFIGS["weibull"], "N": "30", "S": "4", "R": "40",
+                  "methods": "profile,mcmpl"}
+        cfg = write_lines(tmp_path / "exp.cfg", [f"{k} = {v}" for k, v in config.items()])
+        out1, out2 = str(tmp_path / "m1.csv"), str(tmp_path / "m2.csv")
+        assert main(["simulate", "--config", cfg, "--out", out1,
+                     "--threads", "1"]) == 0
+        assert main(["simulate", "--config", cfg, "--out", out2,
+                     "--threads", "2"]) == 0
+        assert open(out1, "rb").read() == open(out2, "rb").read()
+
     def test_threads_env_fallback(self, tmp_path, monkeypatch):
         cfg = self.config(tmp_path, S=4)
         base = str(tmp_path / "m0.csv")

@@ -23,6 +23,7 @@ from mcmpl.weibull import (
     make_survival_dataset,
     relative_risk,
 )
+from oracles import weibull_km_censoring, weibull_replicate_scores
 from oracles import weibull_profile_loglik as profile_loglik
 
 
@@ -263,6 +264,25 @@ class TestKaplanMeier:
         with pytest.raises(EmptyDataError):
             km_censoring(data.subset(np.zeros(1, dtype=bool)))
 
+    def test_tied_times_match_the_counting_loop(self):
+        # two censorings tie at 2 with a failure; a censoring and a failure tie at 3
+        data = make_survival_dataset([[1.0, 2.0, 2.0, 2.0], [3.0, 3.0, 4.0, np.nan]],
+                                     [[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, 0.0]],
+                                     np.zeros((2, 4, 1)),
+                                     unit_mask=[[True] * 4, [True, True, True, False]])
+        km = km_censoring(data)
+        assert np.array_equal(km.jump_times, [2.0, 3.0, 4.0])
+        # the tied failures stay at risk: 6 units at 2, 3 units at 3
+        assert km.survival_values == pytest.approx([2 / 3, 4 / 9, 0.0], abs=1e-15)
+        rng = np.random.default_rng(21)
+        heavy = make_survival_dataset(np.round(rng.exponential(2.0, (50, 8))) + 1.0,
+                                      (rng.random((50, 8)) < 0.5).astype(float),
+                                      np.zeros((50, 8, 1)))
+        for d in (data, heavy):
+            got, want = km_censoring(d), weibull_km_censoring(d)
+            assert np.array_equal(got.jump_times, want.jump_times)
+            assert np.array_equal(got.survival_values, want.survival_values)
+
 
 class TestConditionalBootstrap:
     def curve(self):
@@ -303,6 +323,21 @@ class TestConditionalBootstrap:
 
 
 class TestSimulateReplicate:
+    def test_one_draw_of_each_kind(self):
+        rng = np.random.default_rng(22)
+        data, shape, beta, _ = random_survival(rng, n=5, t=4)
+        lam = constrained_nuisance_closed_form(shape, beta, data)
+        rng, twin = substream(7, 0), substream(7, 0)
+        bank = MODEL.build_replicates(np.concatenate([[shape], beta]), lam, data, rng, 30)
+        twin.standard_exponential((30, 5, 4))
+        twin.random((30, 5, 4))
+        assert rng.random() == twin.random()
+        # a censored unit keeps its own censoring time; log_times carries
+        # the rounding of the shift by the fitted predictor
+        censored = (data.indicators == 0.0) & data.unit_mask
+        assert np.all(bank.log_times[:, censored]
+                      <= np.log(data.responses[censored]) + 1e-12)
+
     def test_no_censoring_all_events(self):
         data = make_survival_dataset([[1.0, 2.0]], [[1.0, 1.0]], np.zeros((1, 2, 1)))
         bank = MODEL.build_replicates(np.array([1.0, 0.0]), np.zeros(1), data,
@@ -376,7 +411,7 @@ class TestMcExpectation:
             psi = psi_mle * rng.uniform(0.8, 1.2, psi_mle.size)
             lam_psi = model.constrained_nuisance(psi, data)
             got = model.replicate_expectation(bank, psi, lam_psi, data)
-            want = (model._replicate_scores(bank, psi, lam_psi, data)
+            want = (weibull_replicate_scores(bank, psi, lam_psi, data)
                     * bank.scores_at_mle).mean(axis=0)
             assert got == pytest.approx(want, rel=1e-12)
 
@@ -388,7 +423,7 @@ class TestMcExpectation:
         assert np.array_equal(bank.moments[shape], fresh.moment(shape))
         lam = model.constrained_nuisance(psi_mle, data)
         assert np.array_equal(bank.scores_at_mle,
-                              model._replicate_scores(bank, psi_mle, lam, data))
+                              weibull_replicate_scores(bank, psi_mle, lam, data))
 
     def test_memo_keeps_values_and_stays_small(self):
         _, model, data, psi_mle, bank = self.ragged_fit(18)
@@ -423,12 +458,77 @@ class TestMcExpectation:
         for seed in (101, 202):
             bank = model.build_replicates(fit.psi_hat, lam, data,
                                           substream(seed, 0), 10_000)
-            scores_psi = model._replicate_scores(bank, psi, lam_psi, data)
+            scores_psi = weibull_replicate_scores(bank, psi, lam_psi, data)
             prods = scores_psi * bank.scores_at_mle
             vals.append(prods.mean(axis=0))
             errs.append(prods.std(axis=0, ddof=1) / np.sqrt(10_000))
         gap = np.abs(vals[0] - vals[1])
         assert np.all(gap <= 3.0 * np.hypot(errs[0], errs[1]))
+
+
+class TestBetaPart:
+    @staticmethod
+    def kernel_values(model, data, psi, bank):
+        """Every kernel, the modified objective and its gradient at ``psi``."""
+        lam = model.constrained_nuisance(psi, data)
+        return [lam, model.cluster_logliks(psi, lam, data),
+                model.nuisance_score(psi, lam + 0.1, data),
+                model.nuisance_obs_info(psi, lam, data),
+                model.replicate_expectation(bank, psi, lam, data),
+                np.array(core.modified_profile_loglik(model, data, bank, psi)),
+                core.envelope_gradient(model, data, psi, bank)]
+
+    def test_kernels_match_a_fresh_model(self):
+        rng, model, data, psi_mle, bank = TestMcExpectation.ragged_fit(23)
+        assert not data.unit_mask.all()
+        other, *_ = random_survival(rng, n=12, t=6)
+        for _ in range(5):
+            psi = psi_mle * rng.uniform(0.8, 1.2, psi_mle.size)
+            fresh = self.kernel_values(WeibullSurvivalModel(), data, psi, bank)
+            model.constrained_nuisance(psi, other)
+            for _ in range(2):  # a new part, then the remembered one
+                for got, want in zip(self.kernel_values(model, data, psi, bank), fresh):
+                    assert np.array_equal(got, want)
+            assert np.array_equal(constrained_nuisance_closed_form(psi[0], psi[1:], data),
+                                  fresh[0])
+
+    def test_datasets_at_the_same_beta_share_no_part(self):
+        rng, model, data, psi, _ = TestMcExpectation.ragged_fit(24)
+        other, *_ = random_survival(rng, n=12, t=6)
+        first = model._part(psi, data)
+        second = model._part(psi * np.array([1.3, 1.0, 1.0]), other)
+        assert first.data is data and second.data is other
+        arrays = [f for f in vars(first) if isinstance(getattr(first, f), np.ndarray)]
+        assert not any(np.shares_memory(getattr(first, f), getattr(second, f))
+                       for f in arrays)
+        assert np.array_equal(model.constrained_nuisance(psi, other),
+                              WeibullSurvivalModel().constrained_nuisance(psi, other))
+
+    def test_memo_holds_at_most_two_parts(self):
+        rng, model, data, psi, _ = TestMcExpectation.ragged_fit(25)
+        other, *_ = random_survival(rng, n=12, t=6)
+        for k in range(6):
+            model.cluster_logliks(psi + 0.01 * k, np.zeros(data.n_clusters), data)
+            model.nuisance_score(psi, np.zeros(other.n_clusters), other)
+            assert len(model._parts) <= 2
+
+    def test_part_arrays_are_read_only(self):
+        _, model, data, psi, _ = TestMcExpectation.ragged_fit(26)
+        part = model._part(psi, data)
+        arrays = [v for v in vars(part).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 6
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            part.logy[0, 0] = 1.0
+
+    def test_moment_pass_leaves_earlier_moments_unchanged(self):
+        _, model, data, psi_mle, bank = TestMcExpectation.ragged_fit(27)
+        shape = float(psi_mle[0])
+        kept = [bank.moment(shape), bank.moment(1.1 * shape)]
+        copies = [m.tobytes() for m in kept]
+        for factor in (0.8, 0.9, 1.2, 1.3):
+            assert not np.shares_memory(bank.moment(factor * shape), bank.buffer)
+        assert [m.tobytes() for m in kept] == copies
 
 
 class TestRelativeRisk:
