@@ -7,6 +7,12 @@ searches of :func:`core.fit` to a closed form and a bounded
 one-dimensional search. Traces take the generic :func:`core.trace_curves`,
 whose search in the variance finds its constrained values, RSS/NT on the
 profile curve and RSS/N(T-1) on the modified one.
+
+The Monte Carlo modification needs only the response sum, the lag sum and
+the score at the fit of each replicate cluster. Given the initial
+condition these three are jointly Gaussian, and
+:meth:`AR1PanelModel.build_replicates` draws them from that law, two
+standard normals per replicate cluster; no replicate panel is simulated.
 """
 
 from __future__ import annotations
@@ -153,14 +159,15 @@ class AR1PanelModel(ClusteredModel):
         return constrained_lambda(psi[0], data)
 
     def maximize(self, objective, start, data, modified, grad=None):
-        """The profile maximizer is the closed-form within least-squares fit.
-        The modified objective is maximized in rho alone, the variance at
-        RSS/N(T-1), by a bounded search that hill-climbs from the ML rho: the
-        relevant maximizer is the local one near it, not the re-increasing
-        branch at large rho. Neither search uses ``grad``."""
+        """The profile maximizer is ``start``, which :func:`core.profile_stage`
+        sets to :meth:`initial_psi`, the closed-form within least-squares fit,
+        so the profile objective is evaluated there once. The modified
+        objective is maximized in rho alone, the variance at RSS/N(T-1), by a
+        bounded search that hill-climbs from the ML rho: the relevant
+        maximizer is the local one near it, not the re-increasing branch at
+        large rho. Neither search uses ``grad``."""
         if not modified:
-            psi = self.initial_psi(data)
-            return optim.OptimResult(argmax=psi, value=objective(psi),
+            return optim.OptimResult(argmax=start, value=objective(start),
                                      converged=True, iterations=0)
         res = optim.maximize_scalar_bounded(
             lambda rho: objective(_with_sigma2(rho, data, "N(T-1)")), *RHO_BOUNDS,
@@ -170,17 +177,20 @@ class AR1PanelModel(ClusteredModel):
                                  iterations=res.iterations)
 
     def build_replicates(self, psi, lam, data, rng, n_replicates):
-        """Synthetic panels from the fit, initial conditions unchanged; the
-        bank keeps only the per-replicate response and lag sums.
+        """Replicate clusters from the fit, initial conditions unchanged; the
+        bank keeps only each replicate's response sum, lag sum and score.
 
-        The panels are never formed. With y_0 fixed, y_t = lam c_{t-1} +
-        rho^t y_0 + sigma sum_{s<=t} rho^{t-s} eps_s, where c_k = sum_{j<=k}
-        rho^j, so the response sum is m_S + sigma eps.a with a_s = c_{T-s},
-        the lag sum is m_L + sigma eps.b with b_s = c_{T-1-s} (b_T = 0), and
-        since a_s - rho b_s = 1 the score at the fit is sum_t eps_t / sigma.
-        One contraction of the (R, N, T) innovations with [a, b, 1] gives
-        all three; the innovations are the same single draw as a recursion
-        over t would use.
+        Neither the panels nor their innovations are drawn. With y_0 fixed,
+        y_t = lam c_{t-1} + rho^t y_0 + sigma sum_{s<=t} rho^{t-s} eps_s,
+        where c_k = sum_{j<=k} rho^j, so the response sum is m_S + sigma
+        eps.a with a_s = c_{T-s}, the lag sum is m_L + sigma eps.b with
+        b_s = c_{T-1-s} (b_T = 0), and since a = 1 + rho b the score at the
+        fit is u / sigma, with u = eps.1 and v = eps.b. Given y_0, (u, v) is
+        Gaussian with covariance G = [[T, sum b], [sum b, b.b]], positive
+        definite for T >= 2 because b_T = 0 and b_{T-1} = 1; it is drawn
+        exactly as z @ chol(G)^T from two standard normals z per replicate
+        cluster, and S, L and the score are (u + rho v, v, u) scaled by
+        (sigma, sigma, 1/sigma).
         """
         rho, sigma2 = float(psi[0]), float(psi[1])
         sigma = np.sqrt(max(sigma2, SIGMA2_FLOOR))
@@ -188,14 +198,15 @@ class AR1PanelModel(ClusteredModel):
                               (data.n_clusters,))
         y0 = data.initial_conditions
         n, t_len = data.responses.shape
-        eps = rng.standard_normal((n_replicates, n, t_len))
         c = np.cumsum(rho ** np.arange(t_len))  # c_0 .. c_{T-1}
         a = c[::-1]
         b = np.append(c[-2::-1], 0.0)
-        sums = eps @ np.stack([a, b, np.ones(t_len)], axis=1)
-        resp_sums = (lam * a.sum() + y0 * (rho * a[0]))[None] + sigma * sums[:, :, 0]
-        lag_sums = (lam * b.sum() + y0 * (1.0 + rho * b[0]))[None] + sigma * sums[:, :, 1]
-        scores = sums[:, :, 2] / sigma
+        gram = np.array([[t_len, b.sum()], [b.sum(), b @ b]])
+        uv = rng.standard_normal((n_replicates, n, 2)) @ np.linalg.cholesky(gram).T
+        u, v = uv[:, :, 0], uv[:, :, 1]
+        resp_sums = (lam * a.sum() + y0 * (rho * a[0]))[None] + sigma * (u + rho * v)
+        lag_sums = (lam * b.sum() + y0 * (1.0 + rho * b[0]))[None] + sigma * v
+        scores = u / sigma
         return _AR1ReplicateBank(resp_sums=resp_sums, lag_sums=lag_sums,
                                  scores_at_mle=scores, t_len=t_len,
                                  resp_moment=(resp_sums * scores).mean(axis=0),

@@ -138,8 +138,8 @@ def maximize_multivariate(f, x0, grad=None) -> OptimResult:
     rank below every finite value, and a gradient that cannot be computed
     there is NaN, so the line search backs off from them. The result is
     converged when the gradient BFGS computed there is small relative to
-    the objective. A search that ends below ``f(x0)`` returns ``x0``,
-    unconverged.
+    the objective. ``f`` is evaluated once at ``x0``. A search that ends
+    below ``f(x0)`` returns ``x0``, unconverged.
 
     Raises
     ------
@@ -160,9 +160,15 @@ def maximize_multivariate(f, x0, grad=None) -> OptimResult:
                 return np.full(z.size, np.nan)
         return -g
 
+    neg = _negated(f)
+
+    def neg_f(z):
+        # SciPy evaluates the start once more; its value is known
+        return -f0 if z.tobytes() == x0.tobytes() else neg(z)
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        res = minimize(_negated(f), x0, jac=neg_grad, method="BFGS",
+        res = minimize(neg_f, x0, jac=neg_grad, method="BFGS",
                        options={"gtol": GRAD_TOL, "maxiter": 200})
     value = -float(res.fun)
     # accept near-ties with ``f0``: the search ended on a small gradient,

@@ -206,6 +206,23 @@ def power_sum(rho, k):
     return sum(rho ** j for t in range(1, k + 1) for j in range(t))
 
 
+def sum_weights(rho, t_len):
+    """(T, 3) weights [a, b, 1] of the innovations in the response sum, the
+    lag sum and the score: a_s = sum_{j=0..T-s} rho^j and b_s =
+    sum_{j=0..T-1-s} rho^j, so b_T = 0."""
+    a = [sum(rho ** j for j in range(t_len - s + 1)) for s in range(1, t_len + 1)]
+    b = [sum(rho ** j for j in range(t_len - s)) for s in range(1, t_len + 1)]
+    return np.column_stack([a, b, np.ones(t_len)])
+
+
+def innovations_behind(z, rho, t_len):
+    """(R, N, T) innovations eps = z L^{-1} B^T, B = [1, b], G = B^T B = L L^T,
+    whose projections eps.1 and eps.b are the bank's draw z L^T."""
+    basis = sum_weights(rho, t_len)[:, [2, 1]]
+    chol = np.linalg.cholesky(basis.T @ basis)
+    return z @ np.linalg.solve(chol, basis.T)
+
+
 class TestReplicateBank:
     @pytest.mark.parametrize("rho", [-0.9, 0.5, 1.0, 1.3])
     def test_matches_recursion(self, rho):
@@ -214,7 +231,7 @@ class TestReplicateBank:
         lam = np.linspace(-1.0, 1.5, 7)
         psi = np.array([rho, 0.6])
         bank = AR1PanelModel().build_replicates(psi, lam, data, substream(17, 0), 300)
-        eps = substream(17, 0).standard_normal((300, 7, 6))
+        eps = innovations_behind(substream(17, 0).standard_normal((300, 7, 2)), rho, 6)
         for got, want in zip((bank.resp_sums, bank.lag_sums, bank.scores_at_mle),
                              recursion_sums(psi, lam, data, eps)):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -223,9 +240,38 @@ class TestReplicateBank:
         data = simulate_panel(5, 4, seed=18)
         rng, ref = substream(19, 0), substream(19, 0)
         AR1PanelModel().build_replicates(np.array([0.5, 1.0]), np.zeros(5), data, rng, 40)
-        ref.standard_normal((40, 5, 4))
+        ref.standard_normal((40, 5, 2))
         # the same state gives the same stream from here on
         assert np.array_equal(rng.integers(0, 2 ** 63, 64), ref.integers(0, 2 ** 63, 64))
+
+    @pytest.mark.parametrize("rho, sigma2", [(-0.9, 0.6), (0.7, 1.0), (1.3, 2.5)])
+    def test_sums_have_the_exact_gaussian_law(self, rho, sigma2):
+        # (S, L, score) of each replicate cluster has mean (m_S, m_L, 0) and
+        # covariance D W^T W D, W = [a, b, 1], D = diag(sigma, sigma, 1/sigma).
+        # A Gaussian sample covariance entry has variance
+        # (C_jj C_kk + C_jk^2) / R and a sample mean C_jj / R; every entry of
+        # every cluster must lie within 5 of those standard errors
+        data = simulate_panel(4, 5, rho=0.7, seed=22)
+        lam = np.array([-1.0, 0.0, 0.5, 2.0])
+        y0 = np.array([-2.0, 0.0, 1.0, 3.0])
+        data = make_panel_dataset(data.responses, y0)
+        r, t_len = 50_000, 5
+        bank = AR1PanelModel().build_replicates(np.array([rho, sigma2]), lam, data,
+                                                substream(23, 0), r)
+        sigma = np.sqrt(sigma2)
+        w = sum_weights(rho, t_len) * np.array([sigma, sigma, 1.0 / sigma])
+        cov = w.T @ w
+        # the means from y_t = lam c_{t-1} + rho^t y_0 with c_k = sum_{j<=k} rho^j
+        path = np.array([[lam[i] * sum(rho ** j for j in range(t)) + rho ** t * y0[i]
+                          for t in range(1, t_len + 1)] for i in range(4)])
+        means = np.column_stack([path.sum(axis=1), y0 + path[:, :-1].sum(axis=1),
+                                 np.zeros(4)])
+        sums = np.stack([bank.resp_sums, bank.lag_sums, bank.scores_at_mle], axis=2)
+        mean_se = np.sqrt(np.diag(cov) / r)
+        cov_se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov ** 2) / r)
+        for i in range(4):
+            assert np.all(np.abs(sums[:, i].mean(axis=0) - means[i]) <= 5.0 * mean_se)
+            assert np.all(np.abs(np.cov(sums[:, i], rowvar=False) - cov) <= 5.0 * cov_se)
 
     def test_moments_at_large_r(self):
         # E[S s] = A_T(rho_hat), E[L s] = A_{T-1}(rho_hat) and E[s] = 0 for

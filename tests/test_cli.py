@@ -288,7 +288,7 @@ class TestSimulateCommand:
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
     def test_ar1_thread_invariance_bytes(self, tmp_path):
-        # the AR(1) bank sums the innovations through a BLAS contraction
+        # the AR(1) bank draws its sums through a matmul with a Cholesky factor
         config = {**BASE_CONFIGS["ar1"], "N": "30", "S": "4", "R": "40"}
         cfg = write_lines(tmp_path / "exp.cfg", [f"{k} = {v}" for k, v in config.items()])
         out1, out2 = str(tmp_path / "m1.csv"), str(tmp_path / "m2.csv")

@@ -124,6 +124,22 @@ class TestMultivariate:
         maximize_multivariate(f, np.array([0.6, 0.0]), grad)
         assert not fallback
 
+    @pytest.mark.parametrize("with_grad", [False, True])
+    def test_start_is_evaluated_once(self, with_grad):
+        x0 = np.array([0.3, -0.4])
+        at_start = []
+
+        def f(v):
+            at_start.append(np.array_equal(v, x0))
+            return -(v[0] - 1) ** 2 - (v[1] + 2) ** 2
+
+        def grad(v):
+            return np.array([-2 * (v[0] - 1), -2 * (v[1] + 2)])
+
+        res = maximize_multivariate(f, x0, grad if with_grad else None)
+        assert np.allclose(res.argmax, [1.0, -2.0], atol=1e-6)
+        assert len(at_start) > 1 and sum(at_start) == 1
+
     def test_constant(self):
         res = maximize_multivariate(lambda v: 3.5, np.array([0.7, -0.2]))
         assert np.allclose(res.argmax, [0.7, -0.2])
