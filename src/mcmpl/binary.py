@@ -319,9 +319,10 @@ def make_binary_dataset(responses, covariates, missing=None, unit_mask=None,
 
 @dataclass
 class _BinaryDraws:
-    """Raw replicate draws; a replicate's nuisance score is linear in them."""
+    """Raw replicate draws, as booleans; a replicate's nuisance score is
+    linear in them."""
 
-    obs_y: np.ndarray         # (R, N, T) observed response (0 elsewhere)
+    obs_y: np.ndarray         # (R, N, T) observed response (False elsewhere)
     obs: np.ndarray           # (R, N, T) observed indicator
     miss: np.ndarray          # (R, N, T) missing indicator
 
@@ -472,6 +473,8 @@ class BinaryMissingModel(ClusteredModel):
         A replicate's nuisance score is linear in its ``obs_y``, ``obs`` and
         ``miss`` draws, so the bank keeps their (3, N, T) moments
         ``mean_r(X_r s_r(psi, lam))`` and the (R, N) scores, not the draws.
+        The scores and moments are formed from the boolean draws, and the
+        one float (R, N, T) array of the build is the uniform buffer.
         :meth:`exact_bank` holds their expectations, conditional on the
         recorded units, instead of the replicate means.
         """
@@ -483,26 +486,27 @@ class BinaryMissingModel(ClusteredModel):
                                     scores_at_mle=scores)
 
     def _draw_replicates(self, psi, lam, data, rng, n_replicates):
-        """The raw draws of :meth:`build_replicates` from ``rng``: responses,
-        then deletions, kept as booleans until they are returned as floats.
+        """The boolean draws of :meth:`build_replicates` from ``rng``:
+        responses, then deletions, both from one reused uniform buffer.
 
         The deletion probability takes two values per unit, at y = 0 and
-        y = 1, so both are made on (N, T) and each draw selects its own.
+        y = 1, so both are made on (N, T) and each draw compares its uniform
+        with its own.
         """
         gamma1, gamma2 = self._deletion_gamma(psi, data)
         pi = self.link.cdf(self._part(psi, data).eta(lam))
-        shape = (n_replicates,) + pi.shape
-        y = rng.random(shape) < pi
-        miss = np.zeros(shape, dtype=bool)
+        u = rng.random(out=np.empty((n_replicates,) + pi.shape))
+        y = u < pi
+        miss = np.zeros(u.shape, dtype=bool)
         if gamma1 is not None:
-            u = data.covariates @ gamma1
-            zeta = G.cdf(_clamp(u + gamma2 * 0.0))
+            x_gamma1 = data.covariates @ gamma1
+            rng.random(out=u)
+            miss = u < G.cdf(_clamp(x_gamma1 + gamma2 * 0.0))
             if gamma2 != 0.0:
-                zeta = np.where(y, G.cdf(_clamp(u + gamma2 * 1.0)), zeta)
-            miss = (rng.random(shape) < zeta) & data.unit_mask
+                np.copyto(miss, u < G.cdf(_clamp(x_gamma1 + gamma2 * 1.0)), where=y)
+            miss &= data.unit_mask
         obs = data.unit_mask & ~miss
-        return _BinaryDraws(obs_y=(obs & y).astype(float), obs=obs.astype(float),
-                            miss=miss.astype(float))
+        return _BinaryDraws(obs_y=obs & y, obs=obs, miss=miss)
 
     def _score_weights(self, psi, lam, data):
         """Per-unit weights (3, N, T) of a replicate's nuisance score on its

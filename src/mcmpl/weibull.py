@@ -105,10 +105,37 @@ class KMCurve:
         if self.jump_times.size == 0:
             out = np.full(targets.shape, np.inf)
             return out if out.ndim else float(out)
-        idx = np.searchsorted(-self.survival_values, -targets, side="left")
+        idx = _count_above(self.survival_values, targets.reshape(-1))
         idx = np.minimum(idx, self.jump_times.size - 1)
-        out = self.jump_times[idx]
+        out = self.jump_times[idx].reshape(targets.shape)
         return out if out.ndim else float(out)
+
+
+#: buckets of the table of :func:`_count_above`; a power of two, so that
+#: ``t * _KM_BUCKETS`` and ``b / _KM_BUCKETS`` are exact
+_KM_BUCKETS = 4096
+
+
+def _count_above(survival, targets):
+    """``#{k : survival[k] > t}`` for each of the 1-d ``targets``, exactly
+    as ``np.searchsorted(-survival, -targets, side="left")``.
+
+    The count does not rise with t, so it is tabulated at t = b/M for
+    b = 0..M, M = ``_KM_BUCKETS``: a target in [b/M, (b+1)/M) whose bucket
+    ends agree takes that count, and the others (NaN, t < 0, t >= 1 and
+    buckets holding a survival value) are searched.
+    """
+    neg = -survival
+    table = np.searchsorted(neg, -(np.arange(_KM_BUCKETS + 1) / _KM_BUCKETS), side="left")
+    inside = (targets >= 0.0) & (targets < 1.0)
+    # scaled in place: the Weibull build reaches its peak memory in this call
+    bucket = np.where(inside, targets, 0.0)
+    bucket *= _KM_BUCKETS
+    bucket = bucket.astype(np.intp)
+    searched = ~(inside & (table[:-1] == table[1:])[bucket])
+    idx = table[bucket]
+    idx[searched] = np.searchsorted(neg, -targets[searched], side="left")
+    return idx
 
 
 def _check_times(data):

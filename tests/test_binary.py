@@ -376,12 +376,11 @@ def elementwise_draws(model, psi, lam, data, rng, n_replicates):
     return binary._BinaryDraws(obs_y=obs * y, obs=obs, miss=miss)
 
 
-def draw_case(link, mechanism, gamma2, layout):
-    """A 12-cluster dataset, its model, and (psi, lam) at which to draw;
+def draw_case(link, mechanism, gamma2, layout, n=12, t=5):
+    """An n-cluster dataset, its model, and (psi, lam) at which to draw;
     ``layout`` is full, ragged (some clusters end early) or complete (no
     missing responses)."""
     rng = np.random.default_rng(31)
-    n, t = 12, 5
     x = rng.normal(scale=2.0, size=(n, t))
     x[0, :2] = (12.0, -12.0)  # past the predictor clamp at gamma1 = 4.5
     y = (rng.random((n, t)) < 0.5).astype(float)
@@ -414,7 +413,10 @@ class TestTwoValuedDraw:
         draws = model._draw_replicates(psi, lam, data, rng, 200)
         ref = elementwise_draws(model, psi, lam, data, ref_rng, 200)
         for name in ("obs_y", "obs", "miss"):
-            assert getattr(draws, name).tobytes() == getattr(ref, name).tobytes()
+            drawn, want = getattr(draws, name), getattr(ref, name)
+            assert drawn.dtype == bool
+            assert np.array_equal(drawn, want == 1.0)
+            assert np.array_equal(drawn, want != 0.0)
         if layout == "complete" and mechanism == "mcar":
             assert not draws.miss.any()
         else:
@@ -434,6 +436,23 @@ class TestTwoValuedDraw:
         assert bank.scores_at_mle.tobytes() == scores.tobytes()
         assert bank.moments.tobytes() == moments.tobytes()
         assert np.array_equal(rng.random(16), ref_rng.random(16))
+
+    @pytest.mark.parametrize("link, mechanism, gamma2, layout, n, t, r", [
+        ("logit", "mcar", 0.0, "full", 183, 10, 200),
+        ("probit", "mcar", 0.0, "ragged", 250, 10, 200),
+        ("logit", "mnar", 1.0, "full", 100, 10, 500),
+        ("probit", "mnar", -1.3, "ragged", 100, 10, 500)])
+    def test_bank_at_benchmark_shapes(self, link, mechanism, gamma2, layout, n, t, r):
+        # boolean draws meet float weights in a buffered einsum, whose
+        # chunks span many clusters at these shapes
+        model, data, psi, lam = draw_case(link, mechanism, gamma2, layout, n, t)
+        bank = model.build_replicates(psi, lam, data, substream(37, 0), r)
+        ref = elementwise_draws(model, psi, lam, data, substream(37, 0), r)
+        scores = model._replicate_scores(ref, psi, lam, data)  # float einsums
+        moments = np.stack([np.einsum("rnt,rn->nt", x, scores)
+                            for x in (ref.obs_y, ref.obs, ref.miss)]) / r
+        assert bank.scores_at_mle.tobytes() == scores.tobytes()
+        assert bank.moments.tobytes() == moments.tobytes()
 
     def test_deletion_predictor_clamped_whole(self):
         # x gamma1 = -50 lies past the predictor clamp and every response

@@ -283,6 +283,32 @@ class TestKaplanMeier:
             assert np.array_equal(got.jump_times, want.jump_times)
             assert np.array_equal(got.survival_values, want.survival_values)
 
+    def test_inverse_matches_the_plain_search(self):
+        rng = np.random.default_rng(23)
+        data, *_ = random_survival(rng, n=60, t=6)
+        curves = [km_censoring(data),
+                  KMCurve(jump_times=np.array([2.0]), survival_values=np.array([0.4])),
+                  # values on bucket ends, two jumps inside one bucket, and 0
+                  KMCurve(jump_times=np.arange(1.0, 7.0),
+                          survival_values=np.array([0.75, 0.5, 0.3, 0.2999, 2.0 ** -12, 0.0])),
+                  KMCurve(jump_times=np.empty(0), survival_values=np.empty(0))]
+        for km in curves:
+            s = km.survival_values
+            targets = np.concatenate([
+                rng.random(5000), s, np.nextafter(s, -np.inf), np.nextafter(s, np.inf),
+                [0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), 1.5, np.inf,
+                 -1e-300, -0.5, -np.inf, np.nan]])
+            if s.size:
+                idx = np.searchsorted(-s, -targets, side="left")
+                want = km.jump_times[np.minimum(idx, s.size - 1)]
+            else:
+                want = np.full(targets.shape, np.inf)
+            got = km.generalized_inverse(targets)
+            assert got.tobytes() == want.tobytes()
+            grid = km.generalized_inverse(targets[:5000].reshape(50, 100))
+            assert grid.tobytes() == want[:5000].tobytes()
+            assert [km.generalized_inverse(t) for t in targets[-10:]] == list(want[-10:])
+
 
 class TestConditionalBootstrap:
     def curve(self):
