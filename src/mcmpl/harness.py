@@ -215,7 +215,26 @@ def _check_binary_data(data):
         raise ValueError("the binary model needs a covariate column x1")
 
 
+def _without_options(make):
+    """The model factory of a family that reads no link or mechanism; any
+    but the defaults is an error, not ignored."""
+    def model(link, mechanism):
+        for name, value, default in (("link", link, "logit"),
+                                     ("mechanism", mechanism, "mcar")):
+            if value != default:
+                raise ValueError(f"{name} {value!r} applies to the binary model only")
+        return make()
+    return model
+
+
+def _check_normal_intercepts(spec):
+    if spec.lambda_generator != "normal":
+        raise ValueError(f"lambda_gen {spec.lambda_generator!r} applies to the "
+                         "binary model only")
+
+
 def _check_survival_spec(spec):
+    _check_normal_intercepts(spec)
     if not spec.xi > 0.0:
         raise ValueError("xi must be positive")
     if spec.censoring_share is None or not 0.0 < spec.censoring_share < 1.0:
@@ -229,6 +248,7 @@ def _check_survival_spec(spec):
 
 
 def _check_panel_spec(spec):
+    _check_normal_intercepts(spec)
     if not spec.sigma2 > 0.0:
         raise ValueError("the AR(1) design needs sigma2 > 0")
     if spec.t_periods < 2:
@@ -312,12 +332,12 @@ FAMILIES = {
         check_spec=_check_binary_spec, check_data=_check_binary_data,
         nullable=("y",), mechanisms=("mcar", "mnar")),
     "weibull": Family(
-        model=lambda link, mechanism: weibull.WeibullSurvivalModel(),
+        model=_without_options(weibull.WeibullSurvivalModel),
         generate=generate_survival_dataset, truth=_survival_truth,
         columns=("time", "event"), read_row=_survival_row,
         check_spec=_check_survival_spec, derived=_relative_risks),
     "ar1": Family(
-        model=lambda link, mechanism: ar1.AR1PanelModel(),
+        model=_without_options(ar1.AR1PanelModel),
         generate=generate_ar1_dataset, truth=_panel_truth, columns=("y",),
         read_row=lambda y: (y, 0.0), check_spec=_check_panel_spec,
         check_data=_check_panel, initial_row=True),

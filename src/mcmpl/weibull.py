@@ -46,10 +46,6 @@ class NonPositiveShapeError(ValueError):
     """The Weibull shape parameter must be positive."""
 
 
-class NoEventsError(optim.NumericalFailure):
-    """A cluster without events has no finite constrained intercept."""
-
-
 class EmptyDataError(ValueError):
     """No units available to estimate the censoring distribution."""
 
@@ -185,24 +181,13 @@ class _BetaPart:
                             np.exp(shape * (log_eta + self.logy)), 0.0).sum(axis=1)
 
     def closed_form(self, shape) -> np.ndarray:
-        """The constrained intercepts; see :func:`constrained_nuisance_closed_form`."""
+        """The constrained intercepts, one per cluster; +inf for a cluster
+        without events, which has no finite intercept and is dropped before
+        any fit."""
         if not shape > 0.0:
             raise NonPositiveShapeError(f"shape {shape} must be positive")
-        if np.any(self.events < 1.0):
-            raise NoEventsError("a cluster without events was not dropped")
-        return (_logsumexp_rows(shape * self.linpred) - np.log(self.events)) / shape
-
-
-def constrained_nuisance_closed_form(shape, beta, data: ClusteredDataset) -> np.ndarray:
-    """Explicit constrained intercept estimates, one per cluster.
-
-    Raises
-    ------
-    NoEventsError
-        If some cluster records no events (its estimate is not finite and
-        the cluster must be discarded beforehand).
-    """
-    return _BetaPart.build(beta, data).closed_form(shape)
+        with np.errstate(divide="ignore"):
+            return (_logsumexp_rows(shape * self.linpred) - np.log(self.events)) / shape
 
 
 def km_censoring(data: ClusteredDataset) -> KMCurve:
@@ -305,9 +290,6 @@ def calibrate_censoring_rate(shape, beta, lam, data: ClusteredDataset,
 
 def make_survival_dataset(times, events, covariates, unit_mask=None,
                           cluster_labels=None) -> ClusteredDataset:
-    times = np.asarray(times, dtype=float)
-    if times.ndim == 1:
-        times = times[None, :]
     data = make_dataset(times, covariates, events, unit_mask,
                         cluster_labels=cluster_labels)
     _check_times(data)
@@ -414,14 +396,7 @@ class WeibullSurvivalModel(ClusteredModel):
         return psi[0] ** 2 * part.pow_sums(psi[0], part.log_eta(lam))
 
     def constrained_nuisance(self, psi, data):
-        part = self._part(psi, data)
-        ok = part.events >= 1.0
-        if ok.all():
-            return part.closed_form(psi[0])
-        out = np.full(data.n_clusters, np.inf)
-        if ok.any():
-            out[ok] = constrained_nuisance_closed_form(psi[0], psi[1:], data.subset(ok))
-        return out
+        return self._part(psi, data).closed_form(psi[0])
 
     def build_replicates(self, psi, lam, data, rng, n_replicates):
         """New failure times from the fit; censoring times by conditional

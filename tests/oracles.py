@@ -2,6 +2,7 @@
 value the package computes another way."""
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from mcmpl import core
 from mcmpl.ar1 import _with_sigma2
@@ -9,7 +10,6 @@ from mcmpl.weibull import (
     _PAD,
     EmptyDataError,
     KMCurve,
-    NoEventsError,
     NonPositiveShapeError,
     _check_times,
     _logsumexp_rows,
@@ -33,7 +33,7 @@ def weibull_profile_loglik(shape, beta, data) -> float:
     delta = np.where(data.unit_mask, data.indicators, 0.0)
     d_tot = delta.sum(axis=1)
     if np.any(d_tot < 1.0):
-        raise NoEventsError("a cluster without events was not dropped")
+        raise ValueError("a cluster without events was not dropped")
     lse = _logsumexp_rows(shape * _log_time_linpred(beta, data))
     linpred = np.where(data.unit_mask, data.covariates @ beta, 0.0)
     logy = np.where(data.unit_mask & (delta > 0), np.log(data.responses), 0.0)
@@ -95,3 +95,40 @@ def ar1_trace_curves(model, data: core.ClusteredDataset, mc: core.MonteCarloConf
         lm.append(core.modified_profile_loglik(
             model, data, bank, _with_sigma2(rho, data, "N(T-1)")))
     return lp, lm
+
+
+def log_elementary_symmetric(scores, observed):
+    """(N, T + 1) log e_k, k = 0..T, of exp(scores) over each row's observed
+    entries: one log-space pass of e_k <- e_k + exp(s_t) e_(k-1) over t,
+    vectorized over the rows."""
+    log_e = np.full((scores.shape[0], scores.shape[1] + 1), -np.inf)
+    log_e[:, 0] = 0.0
+    for t in range(scores.shape[1]):
+        step = np.logaddexp(log_e[:, 1:], log_e[:, :-1] + scores[:, t, None])
+        log_e[:, 1:] = np.where(observed[:, t, None], step, log_e[:, 1:])
+    return log_e
+
+
+def conditional_logit_mle(data, bounds=(-10.0, 10.0)) -> float:
+    """Conditional MLE of the fixed-effects logit slope (Andersen 1970).
+
+    Each cluster's likelihood given its count of observed successes is free
+    of its intercept, and its denominator is the elementary symmetric
+    polynomial of exp(beta x) over the observed units; clusters whose
+    observed responses all agree carry no information. The estimator is
+    consistent at fixed T under MCAR deletion.
+    """
+    observed = data.unit_mask & (data.indicators == 0.0)
+    y = np.where(observed, data.responses, 0.0)
+    successes = y.sum(axis=1).astype(int)
+    keep = (successes > 0) & (successes < observed.sum(axis=1))
+    x, observed, successes = data.covariates[keep, :, 0], observed[keep], successes[keep]
+    sum_yx = float((y[keep] * x).sum())
+    rows = np.arange(successes.size)
+
+    def negative_loglik(beta):
+        log_e = log_elementary_symmetric(beta * x, observed)
+        return float(log_e[rows, successes].sum()) - beta * sum_yx
+
+    return float(minimize_scalar(negative_loglik, bounds=bounds, method="bounded",
+                                 options={"xatol": 1e-10}).x)

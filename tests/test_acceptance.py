@@ -15,7 +15,7 @@ from scipy.special import expit
 
 from mcmpl import ar1, binary, core, harness, io, weibull
 from mcmpl.core import substream
-from oracles import weibull_profile_loglik
+from oracles import conditional_logit_mle, weibull_profile_loglik
 
 #: every test here is a study or a property suite; ``-m "not acceptance"``
 #: runs the unit suite alone
@@ -45,6 +45,12 @@ def _bias(row):
     """Bias and its Monte Carlo standard error sd/sqrt(n_used)."""
     n_used = TRIALS - row.n_failed_trials
     return f"{row.bias:+.4f}+-{row.sd / np.sqrt(n_used):.4f}"
+
+
+def _mean_se(values):
+    """Mean of per-trial values and its Monte Carlo standard error."""
+    values = np.asarray(values, dtype=float)
+    return f"{values.mean():+.4f}+-{values.std(ddof=1) / np.sqrt(values.size):.4f}"
 
 
 def _cov(row):
@@ -102,6 +108,14 @@ def test_criterion_1_mcar_logistic(mcar_logistic_study, capsys):
             for t in mcar_logistic_study.trials
             if t.estimates["mcar:mpl-exact"] and t.estimates["mcar:mcmpl"]]
     mean_gap = float(np.mean(np.abs(gaps)))
+    # the conditional MLE (Andersen 1970) on each trial's dataset: consistent at
+    # fixed T, so it carries the sampling part of any bias and no O(1/T^2) part
+    spec = mcar_logistic_study.spec
+    cmle = [conditional_logit_mle(harness.generate_dataset(spec, substream(spec.seed, s, 0))[0])
+            for s in range(TRIALS)]
+    exact_vs_cmle = [t.estimates["mcar:mpl-exact"]["beta1"][0] - c
+                     for t, c in zip(mcar_logistic_study.trials, cmle)
+                     if t.estimates["mcar:mpl-exact"]]
     checks = [
         ("profile_bias", 0.185 <= prof.bias <= 0.245, _bias(prof)),
         ("profile_cov", prof.coverage <= 0.70, _cov(prof)),
@@ -113,6 +127,8 @@ def test_criterion_1_mcar_logistic(mcar_logistic_study, capsys):
         # true bias of +0.029 at this design
         ("exact_bias", True, _bias(exact)),
         ("signed_mc_shift", True, f"{float(np.mean(gaps)):+.5f}"),
+        ("cmle_bias", True, _mean_se(np.subtract(cmle, spec.beta[0]))),
+        ("mpl-exact-cmle", True, _mean_se(exact_vs_cmle)),
     ]
     _report(capsys, "criterion 1 (MCAR logistic N=250 T=10)", checks)
 
@@ -222,7 +238,7 @@ def test_criterion_5_property_suite(tmp_path, capsys):
                                               rng.normal(size=(1, t, 1)))
         shape = float(rng.uniform(0.5, 2.5))
         beta = rng.normal(size=1)
-        lam = weibull.constrained_nuisance_closed_form(shape, beta, data1)[0]
+        lam = weibull.WeibullSurvivalModel().constrained_nuisance(np.r_[shape, beta], data1)[0]
 
         def g(v):
             return wmodel.nuisance_score(np.concatenate([[shape], beta]),
@@ -236,7 +252,7 @@ def test_criterion_5_property_suite(tmp_path, capsys):
     gap = 0.0
     for shape in (0.8, 1.5, 2.0):
         beta = np.array([-0.7, 0.6])
-        lamw = weibull.constrained_nuisance_closed_form(shape, beta, wdata)
+        lamw = weibull.WeibullSurvivalModel().constrained_nuisance(np.r_[shape, beta], wdata)
         plug = float(wmodel.cluster_logliks(np.concatenate([[shape], beta]), lamw,
                                             wdata).sum())
         gap = max(gap, abs(weibull_profile_loglik(shape, beta, wdata) - plug)

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
-from scipy.special import expit, log_expit, ndtr
+from scipy.optimize import minimize_scalar
+from scipy.special import expit, log_expit, logsumexp, ndtr
 from scipy.stats import norm
 
 from mcmpl import binary, core, harness, optim
@@ -10,6 +13,7 @@ from mcmpl.binary import (
     make_binary_dataset,
 )
 from mcmpl.core import MonteCarloConfig, substream
+from oracles import conditional_logit_mle, log_elementary_symmetric
 
 MCAR = BinaryMissingModel()
 MNAR = BinaryMissingModel(mechanism="mnar")
@@ -688,3 +692,35 @@ class TestInvariantsAndProperties:
         assert np.all(np.isfinite(fit.std_errors[:-1]))
         assert np.isnan(fit.std_errors[-1])
         assert harness._failed(fit)
+
+
+class TestConditionalLogitOracle:
+    def test_recursion_matches_subset_enumeration(self):
+        rng = np.random.default_rng(41)
+        for t in range(1, 9):
+            scores = rng.normal(scale=2.0, size=(6, t))
+            observed = rng.random((6, t)) < 0.7
+            observed[0] = True
+            observed[1] = False
+            got = log_elementary_symmetric(scores, observed)
+            for i in range(6):
+                units = np.flatnonzero(observed[i])
+                for k in range(t + 1):
+                    terms = [scores[i, list(c)].sum()
+                             for c in itertools.combinations(units, k)]
+                    want = logsumexp(terms) if terms else -np.inf
+                    assert got[i, k] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_two_periods_reduce_to_a_logit_of_differences(self):
+        # at T = 2 with one success, P(y = (0, 1) | 1 success) = expit(beta (x2 - x1))
+        rng = np.random.default_rng(42)
+        x = rng.normal(size=(300, 2))
+        y = (rng.random((300, 2)) < expit(x - 0.3)).astype(float)
+        data = make_binary_dataset(y, x)
+        one = y.sum(axis=1) == 1
+        sign = np.where(y[one, 1] == 1.0, 1.0, -1.0)
+        d = x[one, 1] - x[one, 0]
+        want = minimize_scalar(lambda b: -log_expit(sign * b * d).sum(),
+                               bounds=(-10.0, 10.0), method="bounded",
+                               options={"xatol": 1e-10}).x
+        assert conditional_logit_mle(data) == pytest.approx(want, abs=1e-7)

@@ -351,6 +351,49 @@ def test_failed_data_draw_exit_one(tmp_path, capsys, command):
     assert not out.exists()
 
 
+#: the options and config keys that only the binary model reads, with a
+#: non-default value each; a family that reads none of them rejects them
+UNREAD_OPTIONS = [("link", "probit"), ("mechanism", "mnar")]
+UNREAD_KEYS = UNREAD_OPTIONS + [("lambda_gen", "covariate-correlated")]
+FAMILY_CONFIGS = {
+    "weibull": ["model = weibull", "N = 10", "T = 4", "S = 2", "beta = -1.0,1.0",
+                "pc = 0.2", "methods = profile"],
+    "ar1": ["model = ar1", "N = 10", "T = 4", "S = 2", "methods = profile"],
+}
+TRACE_ARGS = {"weibull": ["--param", "xi", "--grid", "1.0:2.0:0.5"],
+              "ar1": ["--param", "rho", "--grid", "0.2:0.6:0.2"]}
+
+
+@pytest.mark.parametrize("option,value", UNREAD_OPTIONS)
+@pytest.mark.parametrize("model", sorted(FAMILY_CONFIGS))
+@pytest.mark.parametrize("command", ["fit", "trace"])
+def test_unread_option_with_data_exit_one(tmp_path, capsys, command, model, option, value):
+    path, _ = {"weibull": weibull_csv, "ar1": ar1_csv}[model](tmp_path, n=10)
+    extra = TRACE_ARGS[model] if command == "trace" else []
+    out = tmp_path / "out.csv"
+    assert main([command, "--model", model, "--data", path, f"--{option}", value,
+                 *extra, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option} {value!r} ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", UNREAD_KEYS)
+@pytest.mark.parametrize("model", sorted(FAMILY_CONFIGS))
+@pytest.mark.parametrize("command", ["simulate", "trace"])
+def test_unread_config_key_exit_one(tmp_path, capsys, command, model, key, value):
+    cfg = write_lines(tmp_path / "exp.cfg", FAMILY_CONFIGS[model] + [f"{key} = {value}"])
+    extra = TRACE_ARGS[model] if command == "trace" else []
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", cfg, *extra, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} {value!r} ") and err.count("\n") == 1
+    assert not out.exists()
+    # the same file without the key runs
+    cfg = write_lines(tmp_path / "exp.cfg", FAMILY_CONFIGS[model])
+    assert main([command, "--config", cfg, *extra, "--out", str(out)]) == 0
+
+
 #: each extreme-value case: the config values of a study, or the family,
 #: column and value of one cell of a small dataset file (its third data row,
 #: an event row of the Weibull file and a t=2 row of the AR(1) file)

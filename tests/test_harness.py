@@ -76,6 +76,18 @@ class TestGenerators:
         data, _ = generate_binary_dataset(spec, substream(7, 0, 0))
         assert data.n_clusters == 4000
 
+    @pytest.mark.parametrize("model", ["weibull", "ar1"])
+    @pytest.mark.parametrize("field,key,value", [
+        ("link", "link", "probit"), ("mechanism", "mechanism", "mnar"),
+        ("lambda_generator", "lambda_gen", "covariate-correlated")])
+    def test_binary_options_rejected_elsewhere(self, model, field, key, value):
+        design = dict(weibull=dict(beta=(-1.0, 1.0), censoring_share=0.2), ar1={})[model]
+        spec = dict(model=model, n_clusters=10, t_periods=4, n_trials=2,
+                    methods=("profile",), **design)
+        ExperimentSpec(**spec)
+        with pytest.raises(ValueError, match=f"^{key} {value!r} applies to the binary"):
+            ExperimentSpec(**spec, **{field: value})
+
     @pytest.mark.parametrize("share", [0.2, 0.4])
     def test_survival_censoring_share(self, share):
         spec = ExperimentSpec(model="weibull", n_clusters=1000, t_periods=10,
@@ -339,8 +351,8 @@ def test_numerical_errors_share_one_base():
     # trial and the cli exits 1 on each
     for cls in (optim.NoFinitePointError, optim.NonFiniteStartError,
                 optim.NonFiniteEvaluationError, core.NoInformativeClustersError,
-                binary.ProbabilityUnderflowError, weibull.NoEventsError,
-                weibull.NoSolutionInBracketError, ar1.DegenerateDesignError):
+                binary.ProbabilityUnderflowError, weibull.NoSolutionInBracketError,
+                ar1.DegenerateDesignError):
         assert issubclass(cls, optim.NumericalFailure), cls
     assert issubclass(optim.NumericalFailure, ValueError)
 

@@ -12,13 +12,11 @@ from mcmpl.core import MonteCarloConfig, substream
 from mcmpl.weibull import (
     EmptyDataError,
     KMCurve,
-    NoEventsError,
     NonPositiveShapeError,
     NonPositiveTimeError,
     WeibullSurvivalModel,
     calibrate_censoring_rate,
     conditional_bootstrap_censoring,
-    constrained_nuisance_closed_form,
     km_censoring,
     make_survival_dataset,
     relative_risk,
@@ -97,7 +95,7 @@ class TestNuisanceScore:
         rng = np.random.default_rng(1)
         for _ in range(6):
             data, shape, beta, _ = random_survival(rng)
-            lam = constrained_nuisance_closed_form(shape, beta, data)
+            lam = WeibullSurvivalModel().constrained_nuisance(np.r_[shape, beta], data)
             score = nuisance_score(shape, beta, lam, data)
             assert np.abs(score).max() <= 1e-9
 
@@ -121,7 +119,7 @@ class TestNuisanceScore:
 class TestConstrainedNuisance:
     def test_single_unit_closed_form(self):
         data = make_survival_dataset([[2.0]], [[1.0]], np.zeros((1, 1, 1)))
-        lam = constrained_nuisance_closed_form(1.3, [0.0], data)
+        lam = WeibullSurvivalModel().constrained_nuisance(np.r_[1.3, 0.0], data)
         assert lam[0] == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_agrees_with_numeric_root(self):
@@ -135,7 +133,7 @@ class TestConstrainedNuisance:
             data = make_survival_dataset(times, events, x)
             shape = float(rng.uniform(0.5, 3.0))
             beta = rng.normal(size=1)
-            lam = constrained_nuisance_closed_form(shape, beta, data)
+            lam = WeibullSurvivalModel().constrained_nuisance(np.r_[shape, beta], data)
             for i in range(n):
                 cluster = data.subset([i])
 
@@ -145,10 +143,39 @@ class TestConstrainedNuisance:
                 root = brentq(g, lam[i] - 2.0, lam[i] + 2.0, xtol=1e-14, maxiter=500)
                 assert abs(root - lam[i]) <= 1e-10 * (1 + abs(lam[i]))
 
-    def test_no_events_raises(self):
+    def test_no_events_is_infinite(self):
         data = make_survival_dataset([[1.0, 2.0]], [[0.0, 0.0]], np.zeros((1, 2, 1)))
-        with pytest.raises(NoEventsError):
-            constrained_nuisance_closed_form(1.0, [0.0], data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lam = WeibullSurvivalModel().constrained_nuisance(np.r_[1.0, 0.0], data)
+        assert lam.tolist() == [np.inf]
+
+    def test_event_free_clusters_take_the_one_path(self):
+        # a ragged dataset with an all-censored cluster, a one-unit censored
+        # cluster and a one-unit cluster with its event
+        data, *_ = random_survival(np.random.default_rng(31), n=12, t=5)
+        times = np.vstack([data.responses, np.full((3, 5), 1.5)])
+        events = np.vstack([data.indicators, np.zeros((3, 5))])
+        events[-1, 0] = 1.0
+        mask = np.ones((15, 5), dtype=bool)
+        mask[13:, 1:] = False
+        x = np.vstack([data.covariates, np.random.default_rng(32).normal(size=(3, 5, 2))])
+        ragged = make_survival_dataset(times, events, x, unit_mask=mask)
+        model = WeibullSurvivalModel()
+        informative = model.informative_mask(ragged)
+        assert informative.tolist() == [True] * 12 + [False, False, True]
+        kept = ragged.subset(informative)
+        for psi in (np.r_[0.6, -0.4, 0.3], np.r_[1.7, 0.2, -0.9]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                lam = WeibullSurvivalModel().constrained_nuisance(psi, ragged)
+                assert np.all(lam[~informative] == np.inf)
+                want = WeibullSurvivalModel().constrained_nuisance(psi, kept)
+                assert lam[informative].tobytes() == want.tobytes()
+                assert core.profile_loglik(model, ragged, psi) == -np.inf
+        fit = core.fit(model, ragged, "profile")
+        assert fit.dropped_clusters == 2
+        assert fit.converged
 
 
 class TestLogSumExp:
@@ -171,7 +198,7 @@ class TestProfileLoglik:
         rng = np.random.default_rng(4)
         for _ in range(8):
             data, shape, beta, _ = random_survival(rng)
-            lam = constrained_nuisance_closed_form(shape, beta, data)
+            lam = WeibullSurvivalModel().constrained_nuisance(np.r_[shape, beta], data)
             plug_in = loglik(shape, beta, lam, data)
             assert profile_loglik(shape, beta, data) == pytest.approx(plug_in,
                                                                       abs=1e-10)
@@ -199,7 +226,7 @@ class TestNuisanceObsInfo:
     def test_equals_shape_sq_events_at_constrained(self):
         rng = np.random.default_rng(6)
         data, shape, beta, _ = random_survival(rng)
-        lam = constrained_nuisance_closed_form(shape, beta, data)
+        lam = WeibullSurvivalModel().constrained_nuisance(np.r_[shape, beta], data)
         info = nuisance_obs_info(shape, beta, lam, data)
         d_tot = np.where(data.unit_mask, data.indicators, 0.0).sum(axis=1)
         assert info == pytest.approx(shape ** 2 * d_tot, rel=1e-10)
@@ -352,7 +379,7 @@ class TestSimulateReplicate:
     def test_one_draw_of_each_kind(self):
         rng = np.random.default_rng(22)
         data, shape, beta, _ = random_survival(rng, n=5, t=4)
-        lam = constrained_nuisance_closed_form(shape, beta, data)
+        lam = WeibullSurvivalModel().constrained_nuisance(np.r_[shape, beta], data)
         rng, twin = substream(7, 0), substream(7, 0)
         bank = MODEL.build_replicates(np.concatenate([[shape], beta]), lam, data, rng, 30)
         twin.standard_exponential((30, 5, 4))
@@ -381,7 +408,7 @@ class TestSimulateReplicate:
     def test_preserves_structure(self):
         rng = np.random.default_rng(11)
         data, shape, beta, _ = random_survival(rng)
-        lam = constrained_nuisance_closed_form(shape, beta, data)
+        lam = WeibullSurvivalModel().constrained_nuisance(np.r_[shape, beta], data)
         bank = MODEL.build_replicates(np.concatenate([[shape], beta]), lam, data,
                                       substream(3, 0), 1)
         assert bank.log_times.shape == (1,) + data.responses.shape
@@ -515,7 +542,7 @@ class TestBetaPart:
             for _ in range(2):  # a new part, then the remembered one
                 for got, want in zip(self.kernel_values(model, data, psi, bank), fresh):
                     assert np.array_equal(got, want)
-            assert np.array_equal(constrained_nuisance_closed_form(psi[0], psi[1:], data),
+            assert np.array_equal(WeibullSurvivalModel().constrained_nuisance(psi, data),
                                   fresh[0])
 
     def test_datasets_at_the_same_beta_share_no_part(self):
