@@ -112,7 +112,6 @@ class _AR1ReplicateBank:
     resp_sums: np.ndarray      # (R, N) sum_t y_t
     lag_sums: np.ndarray       # (R, N) sum_t y_{t-1}
     scores_at_mle: np.ndarray  # (R, N)
-    t_len: int
     # (N,) replicate means of scores_at_mle times resp_sums, 1 and lag_sums
     resp_moment: np.ndarray
     score_mean: np.ndarray
@@ -208,7 +207,7 @@ class AR1PanelModel(ClusteredModel):
         lag_sums = (lam * b.sum() + y0 * (1.0 + rho * b[0]))[None] + sigma * v
         scores = u / sigma
         return _AR1ReplicateBank(resp_sums=resp_sums, lag_sums=lag_sums,
-                                 scores_at_mle=scores, t_len=t_len,
+                                 scores_at_mle=scores,
                                  resp_moment=(resp_sums * scores).mean(axis=0),
                                  score_mean=scores.mean(axis=0),
                                  lag_moment=(lag_sums * scores).mean(axis=0))
@@ -219,13 +218,14 @@ class AR1PanelModel(ClusteredModel):
         it in O(N)."""
         rho, sigma2 = float(psi[0]), float(psi[1])
         lam_psi = np.asarray(lam_psi, dtype=float)
-        raw = (bank.resp_moment - bank.t_len * lam_psi * bank.score_mean
+        raw = (bank.resp_moment - data.responses.shape[1] * lam_psi * bank.score_mean
                - rho * bank.lag_moment)
         return raw / max(sigma2, SIGMA2_FLOOR)
 
 
 def fit_bounded(data: ClusteredDataset, mc: MonteCarloConfig | None = None,
                 method: str = "mcmpl") -> FitResult:
-    """:func:`core.fit` of :class:`AR1PanelModel`."""
+    """:func:`core.fit` of :class:`AR1PanelModel`. No code of mcmpl calls it, but
+    ``perfbench/spans.py`` ``TARGETS`` traces it by name until ROADMAP item 1."""
     return core.fit(AR1PanelModel(), data, method, mc)
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import expit, log_expit, log_ndtr, ndtr
 
 from . import optim
-from .core import ClusteredDataset, ClusteredModel, _recent_part, make_dataset
+from .core import _PART_MEMO, ClusteredDataset, ClusteredModel, _recent, make_dataset
 
 #: linear predictors are clamped here before any link evaluation; beyond
 #: this the probabilities are numerically 0/1 in double precision
@@ -111,13 +111,11 @@ LINKS = {"logit": LOGIT, "probit": PROBIT}
 G = LOGIT
 
 
-def get_link(link) -> Link:
-    if isinstance(link, Link):
-        return link
+def get_link(name: str) -> Link:
     try:
-        return LINKS[link]
+        return LINKS[name]
     except KeyError:
-        raise ValueError(f"unknown link {link!r}; expected logit or probit") from None
+        raise ValueError(f"unknown link {name!r}; expected logit or probit") from None
 
 
 def _clamp(eta):
@@ -320,7 +318,7 @@ def make_binary_dataset(responses, covariates, missing=None, unit_mask=None,
 @dataclass
 class _BinaryDraws:
     """Raw replicate draws, as booleans; a replicate's nuisance score is
-    linear in them."""
+    linear in them, and under mcar in ``obs_y`` and ``obs`` alone."""
 
     obs_y: np.ndarray         # (R, N, T) observed response (False elsewhere)
     obs: np.ndarray           # (R, N, T) observed indicator
@@ -329,7 +327,7 @@ class _BinaryDraws:
 
 @dataclass
 class _BinaryReplicateBank:
-    moments: np.ndarray        # (3, N, T) mean_r of obs_y, obs, miss times s_r(psi_hat)
+    moments: np.ndarray        # (K, N, T) mean_r of each scored draw times s_r(psi_hat)
     scores_at_mle: np.ndarray  # (R, N); (0, N) in the exact bank
 
 
@@ -353,8 +351,9 @@ class BinaryMissingModel(ClusteredModel):
         """The :class:`_PsiPart` at ``psi`` on ``data``, from the memo when
         the pair was among the last ones asked for."""
         psi = np.atleast_1d(np.asarray(psi, dtype=float))
-        return _recent_part(self._parts, psi.tobytes(), data, lambda: _PsiPart.build(
-            self.mechanism, *self._split(psi, data.n_covariates), data))
+        return _recent(self._parts, psi.tobytes(), _PART_MEMO, lambda: _PsiPart.build(
+            self.mechanism, *self._split(psi, data.n_covariates), data),
+            usable=lambda part: part.data is data)
 
     # -- parameter packing ---------------------------------------------------
 
@@ -443,7 +442,7 @@ class BinaryMissingModel(ClusteredModel):
     def exact_bank(self, psi, lam, data):
         """The exact bank under MCAR, conditional on the recorded units: a
         replicate score has mean zero there, so the moments are
-        ``(obs f(eta_hat), 0, 0)``, and against :meth:`_score_weights` they
+        ``(obs f(eta_hat), 0)``, and against :meth:`_score_weights` they
         give ``sum_t obs f(eta_hat) f(eta) / (F (1 - F))``. With the logit
         link that is the fit-only sum of variances pi_hat (1 - pi_hat).
         """
@@ -451,8 +450,7 @@ class BinaryMissingModel(ClusteredModel):
             raise NotImplementedError("closed form exists under MCAR only")
         part = self._part(psi, data)
         f_hat = np.where(part.obs, np.exp(self.link.log_pdf(part.eta(lam))), 0.0)
-        zero = np.zeros_like(f_hat)
-        return _BinaryReplicateBank(moments=np.stack([f_hat, zero, zero]),
+        return _BinaryReplicateBank(moments=np.stack([f_hat, np.zeros_like(f_hat)]),
                                     scores_at_mle=np.empty((0, data.n_clusters)))
 
     # -- replicate machinery ----------------------------------------------------
@@ -470,9 +468,9 @@ class BinaryMissingModel(ClusteredModel):
     def build_replicates(self, psi, lam, data, rng, n_replicates):
         """Two-stage replicates: complete responses, then random deletion.
 
-        A replicate's nuisance score is linear in its ``obs_y``, ``obs`` and
-        ``miss`` draws, so the bank keeps their (3, N, T) moments
-        ``mean_r(X_r s_r(psi, lam))`` and the (R, N) scores, not the draws.
+        A replicate's nuisance score is linear in its :meth:`_scored` draws,
+        so the bank keeps their (K, N, T) moments ``mean_r(X_r s_r(psi, lam))``
+        and the (R, N) scores, not the draws: K = 2 under mcar, 3 under mnar.
         The scores and moments are formed from the boolean draws, and the
         one float (R, N, T) array of the build is the uniform buffer.
         :meth:`exact_bank` holds their expectations, conditional on the
@@ -481,7 +479,7 @@ class BinaryMissingModel(ClusteredModel):
         draws = self._draw_replicates(psi, lam, data, rng, n_replicates)
         scores = self._replicate_scores(draws, psi, lam, data)
         moments = np.stack([np.einsum("rnt,rn->nt", x, scores)
-                            for x in (draws.obs_y, draws.obs, draws.miss)])
+                            for x in self._scored(draws)])
         return _BinaryReplicateBank(moments=moments / n_replicates,
                                     scores_at_mle=scores)
 
@@ -508,24 +506,27 @@ class BinaryMissingModel(ClusteredModel):
         obs = data.unit_mask & ~miss
         return _BinaryDraws(obs_y=obs & y, obs=obs, miss=miss)
 
+    def _scored(self, draws):
+        """The draws weighed by the rows of :meth:`_score_weights`."""
+        rows = (draws.obs_y, draws.obs, draws.miss)
+        return rows if self.mechanism == "mnar" else rows[:2]
+
     def _score_weights(self, psi, lam, data):
-        """Per-unit weights (3, N, T) of a replicate's nuisance score on its
-        ``obs_y``, ``obs`` and ``miss`` draws; they depend on the parameters
-        and covariates only."""
+        """Per-unit weights (K, N, T) of a replicate's nuisance score on its
+        :meth:`_scored` draws; they depend on the parameters and covariates
+        only. A missing unit enters the score under mnar alone."""
         part = self._part(psi, data)
         v = self.link.at(part.eta(lam))
         w_obs = np.exp(v.log_pdf - v.log_cdf - v.log_sf)
-        w_mis = np.zeros_like(w_obs)
+        w = [w_obs, -v.cdf * w_obs]
         if part.z0 is not None:
-            w_mis = _missing_score_weight(v, part.z0, part.z1)
-        return np.stack([w_obs, -v.cdf * w_obs, w_mis])
+            w.append(_missing_score_weight(v, part.z0, part.z1))
+        return np.stack(w)
 
     def _replicate_scores(self, draws, psi, lam, data):
         """Nuisance scores of every raw replicate at (psi, lam), shape (R, N)."""
-        w = self._score_weights(psi, lam, data)
-        return (np.einsum("rnt,nt->rn", draws.obs_y, w[0])
-                + np.einsum("rnt,nt->rn", draws.obs, w[1])
-                + np.einsum("rnt,nt->rn", draws.miss, w[2]))
+        return sum(np.einsum("rnt,nt->rn", x, w) for x, w in
+                   zip(self._scored(draws), self._score_weights(psi, lam, data)))
 
     def replicate_expectation(self, bank, psi, lam_psi, data):
         """Bank mean of the score product: the weights at ``(psi, lam_psi)``

@@ -219,13 +219,14 @@ class ClusteredModel(ABC):
     def build_replicates(self, psi, lam, data, rng, n_replicates: int):
         """Simulate the replicate bank at the maximum likelihood fit.
 
-        The bank carries ``scores_at_mle``, the (R, N) nuisance scores of
-        every replicate at ``(psi, lam)``, and whatever else
-        :meth:`replicate_expectation` needs: sufficient moments of the draws
-        where a replicate's score is linear in them, or the draws themselves
-        with their moments per shape value where it is not (Weibull).
-        :meth:`exact_bank` is a bank of the same type that holds exact
-        expectations in place of the replicate means.
+        A bank holds what :meth:`replicate_expectation` reads, plus
+        ``scores_at_mle``, the (R, N) nuisance scores of every replicate at
+        ``(psi, lam)``: sufficient moments of the draws where a replicate's
+        score is linear in them, or the draws themselves with their moments
+        per shape value where it is not (Weibull). The AR(1) per-replicate
+        sums and the Weibull ``event_sums`` stay until the Monte Carlo error
+        estimate settles what it reads. :meth:`exact_bank` is a bank of the
+        same type that holds exact expectations in place of the replicate means.
         """
 
     @abstractmethod
@@ -264,16 +265,16 @@ class ClusteredModel(ABC):
 _PART_MEMO = 2
 
 
-def _recent_part(parts: dict, key: bytes, data: ClusteredDataset, build):
-    """``parts[key]`` when it was built on ``data``, else ``build()`` stored
-    there; ``parts`` keeps the last :data:`_PART_MEMO` keys, oldest first."""
-    part = parts.pop(key, None)
-    if part is None or part.data is not data:
-        if len(parts) >= _PART_MEMO:
-            del parts[next(iter(parts))]
-        part = build()
-    parts[key] = part
-    return part
+def _recent(memo: dict, key, size: int, build, usable=lambda value: True):
+    """``memo[key]`` where ``usable`` accepts it, else ``build()`` stored
+    there; ``memo`` keeps the last ``size`` keys asked for, oldest first."""
+    value = memo.pop(key, None)
+    if value is None or not usable(value):
+        if len(memo) >= size:
+            del memo[next(iter(memo))]
+        value = build()
+    memo[key] = value
+    return value
 
 
 def drop_noninformative(model: ClusteredModel, data: ClusteredDataset):

@@ -79,6 +79,9 @@ def maximize_scalar_bounded(f, lo: float, hi: float, start: float) -> OptimResul
     Points where ``f`` is ``-inf`` are infeasible; they shrink the bracket
     but are never returned.
 
+    Kept while ``perfbench/spans.py`` ``TARGETS`` traces it by name, until
+    ROADMAP item 1 changes that list, even after no search of mcmpl uses it.
+
     Raises
     ------
     NoFinitePointError

@@ -15,8 +15,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import optim
-from .core import (ClusteredDataset, ClusteredModel, NonFiniteDrawError, _recent_part,
-                   make_dataset)
+from .core import (_PART_MEMO, ClusteredDataset, ClusteredModel, NonFiniteDrawError,
+                   _recent, make_dataset)
 
 #: log-response placeholder for padded slots; exp(shape * _PAD) == 0
 _PAD = -1e30
@@ -321,18 +321,10 @@ class _WeibullReplicateBank:
     buffer: np.ndarray = field(repr=False)  # (R, N, T) scratch of a moment pass
     moments: dict = field(default_factory=dict, repr=False)  # shape -> (N, T)
 
-    @property
-    def log_times(self) -> np.ndarray:
-        """(R, N, T) replicate log times, _PAD in padding."""
-        return self.shifted_log_times - self.eta_mle
-
     def moment(self, shape: float) -> np.ndarray:
         """``mean_r exp(shape * shifted_log_times) * scores_at_mle``, from
         the memo when ``shape`` was among the last ones asked for."""
-        m = self.moments.pop(shape, None)
-        if m is None:
-            if len(self.moments) >= _MOMENT_MEMO:
-                del self.moments[next(iter(self.moments))]
+        def moment_pass():
             a = self.buffer
             # far from the fit the exp overflows; the expectation is then
             # non-finite and the modification undefined there
@@ -340,9 +332,9 @@ class _WeibullReplicateBank:
                 np.multiply(self.shifted_log_times, shape, out=a)
                 np.exp(a, out=a)
                 a *= self.scores_at_mle[:, :, None]
-            m = a.mean(axis=0)
-        self.moments[shape] = m
-        return m
+            return a.mean(axis=0)
+
+        return _recent(self.moments, shape, _MOMENT_MEMO, moment_pass)
 
 
 class WeibullSurvivalModel(ClusteredModel):
@@ -355,8 +347,9 @@ class WeibullSurvivalModel(ClusteredModel):
     def _part(self, psi, data):
         """The :class:`_BetaPart` at ``psi[1:]`` on ``data``, memoized."""
         beta = np.asarray(psi, dtype=float)[1:]
-        return _recent_part(self._parts, beta.tobytes(), data, lambda: _BetaPart.build(
-            beta, data, like=next(reversed(self._parts.values()), None)))
+        return _recent(self._parts, beta.tobytes(), _PART_MEMO, lambda: _BetaPart.build(
+            beta, data, like=next(reversed(self._parts.values()), None)),
+            usable=lambda part: part.data is data)
 
     def param_names(self, data):
         return ("xi",) + tuple(f"beta{j + 1}" for j in range(data.n_covariates))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -337,7 +338,7 @@ class TestMomentBank:
     @pytest.mark.parametrize("link", ["logit", "probit"])
     @pytest.mark.parametrize("mechanism", ["mcar", "mnar"])
     def test_expectation_matches_raw_draw_mean(self, link, mechanism):
-        # the bank keeps (3, N, T) moments instead of the draws; its
+        # the bank keeps (K, N, T) moments instead of the draws; its
         # expectation is the raw-draw mean of score products re-summed
         rng = np.random.default_rng(21)
         n, t, r = 20, 6, 300
@@ -358,7 +359,21 @@ class TestMomentBank:
         moment = model.replicate_expectation(bank, psi, lam_psi, data)
         assert np.all(np.abs(moment - raw) <= 1e-12 * np.abs(raw))
         assert np.array_equal(bank.scores_at_mle, at_mle)
-        assert bank.moments.shape == (3, n, t)
+        assert bank.moments.shape == (2 if mechanism == "mcar" else 3, n, t)
+
+    @pytest.mark.parametrize("mechanism, gamma2, k", [("mcar", 0.0, 2), ("mnar", 1.7, 3)])
+    def test_one_moment_row_per_score_weight(self, mechanism, gamma2, k):
+        # a missing unit enters the score under mnar only, so no mcar bank,
+        # replicate or exact, keeps a moment of the miss draws
+        model, data, psi, lam = draw_case("logit", mechanism, gamma2, "full")
+        n, t = data.responses.shape
+        assert model._score_weights(psi, lam, data).shape == (k, n, t)
+        bank = model.build_replicates(psi, lam, data, substream(38, 0), 50)
+        assert bank.moments.shape == (k, n, t)
+        if model.has_exact_expectation():
+            exact = model.exact_bank(psi, lam, data).moments
+            assert exact.shape == (k, n, t)
+            assert exact[0].any() and not exact[1].any()
 
 
 def elementwise_draws(model, psi, lam, data, rng, n_replicates):
@@ -378,6 +393,13 @@ def elementwise_draws(model, psi, lam, data, rng, n_replicates):
     miss = np.where(valid, miss, 0.0)
     obs = np.where(valid, 1.0 - miss, 0.0)
     return binary._BinaryDraws(obs_y=obs * y, obs=obs, miss=miss)
+
+
+def scored_draws(draws, mechanism):
+    """The draws a replicate's score is linear in: the miss draws enter
+    under mnar only."""
+    rows = (draws.obs_y, draws.obs, draws.miss)
+    return rows if mechanism == "mnar" else rows[:2]
 
 
 def draw_case(link, mechanism, gamma2, layout, n=12, t=5):
@@ -436,7 +458,7 @@ class TestTwoValuedDraw:
         ref = elementwise_draws(model, psi, lam, data, ref_rng, 150)
         scores = model._replicate_scores(ref, psi, lam, data)
         moments = np.stack([np.einsum("rnt,rn->nt", x, scores)
-                            for x in (ref.obs_y, ref.obs, ref.miss)]) / 150
+                            for x in scored_draws(ref, mechanism)]) / 150
         assert bank.scores_at_mle.tobytes() == scores.tobytes()
         assert bank.moments.tobytes() == moments.tobytes()
         assert np.array_equal(rng.random(16), ref_rng.random(16))
@@ -454,7 +476,7 @@ class TestTwoValuedDraw:
         ref = elementwise_draws(model, psi, lam, data, substream(37, 0), r)
         scores = model._replicate_scores(ref, psi, lam, data)  # float einsums
         moments = np.stack([np.einsum("rnt,rn->nt", x, scores)
-                            for x in (ref.obs_y, ref.obs, ref.miss)]) / r
+                            for x in scored_draws(ref, mechanism)]) / r
         assert bank.scores_at_mle.tobytes() == scores.tobytes()
         assert bank.moments.tobytes() == moments.tobytes()
 
@@ -654,8 +676,12 @@ class TestInvariantsAndProperties:
                - MCAR.cluster_logliks(psi[:1], lam, data))
         assert gap == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
+        # an mcar bank keeps no miss moment; a missing unit's score weight
+        # vanishes at gamma2 = 0, so any miss moment leaves the expectation
         bank = MCAR.build_replicates(psi[:1], lam, data, substream(55, 0), 50)
-        assert np.array_equal(MNAR.replicate_expectation(bank, psi, lam, data),
+        miss = substream(56, 0).normal(size=(1,) + bank.moments.shape[1:])
+        with_miss = dataclasses.replace(bank, moments=np.concatenate([bank.moments, miss]))
+        assert np.array_equal(MNAR.replicate_expectation(with_miss, psi, lam, data),
                               MCAR.replicate_expectation(bank, psi[:1], lam, data))
 
     def test_mixture_strictly_inside_unit_interval(self):
