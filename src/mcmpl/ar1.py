@@ -133,6 +133,10 @@ class AR1PanelModel(ClusteredModel):
         return bool(np.all(np.isfinite(psi)) and psi[1] > 0.0)
 
     def informative_mask(self, data):
+        if not data.unit_mask.all():
+            raise ValueError("AR(1) clusters must share a common length")
+        if data.responses.shape[1] < 2:
+            raise ValueError("AR(1) needs at least two periods per cluster")
         return np.ones(data.n_clusters, dtype=bool)
 
     def cluster_logliks(self, psi, lam, data):

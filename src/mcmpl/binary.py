@@ -416,6 +416,8 @@ class BinaryMissingModel(ClusteredModel):
     # -- likelihood pieces ----------------------------------------------------
 
     def informative_mask(self, data):
+        if data.n_covariates == 0:
+            raise ValueError("the binary model needs a covariate column x1")
         obs, _, y = _recorded(data)
         n_obs, s_obs = obs.sum(axis=1), y.sum(axis=1)
         return (n_obs > 0) & (s_obs > 0) & (s_obs < n_obs)

@@ -84,10 +84,6 @@ class ClusteredDataset:
     def n_covariates(self) -> int:
         return self.covariates.shape[2]
 
-    @property
-    def cluster_sizes(self) -> np.ndarray:
-        return self.unit_mask.sum(axis=1)
-
     def subset(self, keep) -> "ClusteredDataset":
         keep = np.asarray(keep)
         labels = None
@@ -197,7 +193,10 @@ class ClusteredModel(ABC):
     def initial_psi(self, data: ClusteredDataset) -> np.ndarray: ...
 
     @abstractmethod
-    def informative_mask(self, data: ClusteredDataset) -> np.ndarray: ...
+    def informative_mask(self, data: ClusteredDataset) -> np.ndarray:
+        """Boolean (N,) mask of the clusters that inform psi. The first model
+        call of every fit and trace, so it also checks, once, that the family
+        can fit ``data`` at all, and raises ValueError where it cannot."""
 
     @abstractmethod
     def cluster_logliks(self, psi, lam, data) -> np.ndarray: ...
@@ -552,12 +551,12 @@ def trace_curves(model: ClusteredModel, data: ClusteredDataset, mc: MonteCarloCo
     """Curves in one interest component, maximizing over the others from the
     :func:`profile_stage` maximizer, at which the replicate bank is drawn.
     Every family traces this way."""
-    names = model.param_names(data)
+    stage = profile_stage(model, data)
+    kept, solves = stage.data, stage.solves
+    names = model.param_names(kept)
     if param not in names:
         raise ValueError(f"unknown parameter {param!r}; choices: {', '.join(names)}")
     k = names.index(param)
-    stage = profile_stage(model, data)
-    kept, solves = stage.data, stage.solves
     psi_mle = np.atleast_1d(np.asarray(stage.search.argmax, dtype=float))
     bank = model.build_replicates(psi_mle, _solve(model, kept, psi_mle, solves),
                                   kept, mc.generator(0), mc.replicates)

@@ -210,11 +210,6 @@ def _check_binary_spec(spec):
                          "gamma1 need one component each")
 
 
-def _check_binary_data(data):
-    if data.n_covariates == 0:
-        raise ValueError("the binary model needs a covariate column x1")
-
-
 def _without_options(make):
     """The model factory of a family that reads no link or mechanism; any
     but the defaults is an error, not ignored."""
@@ -289,13 +284,6 @@ def _survival_row(time, event):
     return time, event
 
 
-def _check_panel(data):
-    if len(set(data.cluster_sizes)) != 1:
-        raise ValueError("AR(1) clusters must share a common length")
-    if data.responses.shape[1] < 2:
-        raise ValueError("AR(1) needs at least two periods per cluster")
-
-
 def _relative_risks(fit):
     """Delta-method relative risks rr1..rrp of a survival fit."""
     return [(f"rr{j + 1}", *weibull.relative_risk_with_se(fit, j))
@@ -309,7 +297,8 @@ class Family:
     A dataset file has the columns ``cluster``, ``t``, then ``columns``, then
     the covariates ``x1..xp``; ``read_row`` checks one row's ``columns``
     values (ValueError) and returns its response and indicator. Fits and
-    traces of every family go through :mod:`core` alone.
+    traces of every family go through :mod:`core` alone, whose first model
+    call, ``informative_mask``, rejects a dataset the family cannot fit.
     """
 
     model: Callable                # (link, mechanism) -> ClusteredModel
@@ -318,7 +307,6 @@ class Family:
     columns: tuple[str, ...]
     read_row: Callable
     check_spec: Callable = lambda spec: None  # ValueError: design it cannot simulate
-    check_data: Callable = lambda data: None  # ValueError: parsed file it cannot fit
     derived: Callable = lambda fit: []        # fit -> extra (name, estimate, se) rows
     nullable: tuple[str, ...] = ()            # file columns that may be left empty
     initial_row: bool = False                 # a t=0 row holds the initial condition
@@ -329,7 +317,7 @@ FAMILIES = {
     "binary": Family(
         model=binary.BinaryMissingModel, generate=generate_binary_dataset,
         truth=_binary_truth, columns=("y", "missing"), read_row=_binary_row,
-        check_spec=_check_binary_spec, check_data=_check_binary_data,
+        check_spec=_check_binary_spec,
         nullable=("y",), mechanisms=("mcar", "mnar")),
     "weibull": Family(
         model=_without_options(weibull.WeibullSurvivalModel),
@@ -340,7 +328,7 @@ FAMILIES = {
         model=_without_options(ar1.AR1PanelModel),
         generate=generate_ar1_dataset, truth=_panel_truth, columns=("y",),
         read_row=lambda y: (y, 0.0), check_spec=_check_panel_spec,
-        check_data=_check_panel, initial_row=True),
+        initial_row=True),
 }
 
 

@@ -151,14 +151,9 @@ def _assemble(family, labels, clusters, x_names):
             except ValueError as exc:
                 raise DataFileError(str(exc), line=rec["line"]) from None
 
-    data = core.ClusteredDataset(responses=resp, covariates=covs, indicators=ind,
+    return core.ClusteredDataset(responses=resp, covariates=covs, indicators=ind,
                                  unit_mask=mask, initial_conditions=init,
                                  cluster_labels=labels)
-    try:
-        family.check_data(data)
-    except ValueError as exc:
-        raise DataFileError(str(exc)) from None
-    return data
 
 
 def write_dataset(data: core.ClusteredDataset, model: str, path) -> None:

@@ -362,8 +362,6 @@ class WeibullSurvivalModel(ClusteredModel):
         return bool(np.all(np.isfinite(psi)) and psi[0] > 0.0)
 
     def informative_mask(self, data):
-        # the first model call of a fit: validate the times and the scale of
-        # the covariates once here, not on every likelihood evaluation
         _check_times(data)
         optim.check_scale(data.covariates[data.unit_mask], "covariate values")
         return np.where(data.unit_mask, data.indicators, 0.0).sum(axis=1) >= 1.0

@@ -369,6 +369,29 @@ class TestFitBounded:
         assert np.all(np.isfinite(mod.std_errors))
 
 
+class TestDataGate:
+    @pytest.mark.parametrize("method", ["profile", "mcmpl"])
+    def test_ragged_fit_rejected(self, method):
+        # cluster 2 ends a period early, padded as the file reader pads it
+        data = simulate_panel(6, 4, seed=17)
+        y = data.responses.copy()
+        y[2, 3] = np.nan
+        mask = ~np.isnan(y)
+        ragged = core.make_dataset(y, None, None, mask,
+                                   initial_conditions=data.initial_conditions)
+        with pytest.raises(ValueError, match="common length") as exc:
+            core.fit(AR1PanelModel(), ragged, method,
+                     MonteCarloConfig(replicates=20, master_seed=1))
+        # a study records a NumericalFailure as a failed trial, not an error
+        assert not isinstance(exc.value, optim.NumericalFailure)
+
+    def test_single_period_fit_rejected(self):
+        data = core.make_dataset(np.ones((3, 1)), initial_conditions=np.zeros(3))
+        with pytest.raises(ValueError, match="two periods") as exc:
+            core.fit(AR1PanelModel(), data, "profile")
+        assert not isinstance(exc.value, optim.NumericalFailure)
+
+
 class TestTrace:
     #: (N, T, rho) of each dataset
     DESIGNS = [(40, 6, 0.5), (250, 8, 0.5), (60, 4, 0.9), (100, 5, 0.0)]

@@ -603,6 +603,16 @@ class TestDropNoninformative:
         assert dropped == 0 and kept.n_clusters == 1
 
 
+class TestDataGate:
+    @pytest.mark.parametrize("model", [MCAR, MNAR], ids=["mcar", "mnar"])
+    def test_fit_without_covariates_rejected(self, model):
+        data = make_binary_dataset(np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]), None)
+        with pytest.raises(ValueError, match="covariate column x1") as exc:
+            core.fit(model, data, "profile")
+        # a study records a NumericalFailure as a failed trial, not an error
+        assert not isinstance(exc.value, optim.NumericalFailure)
+
+
 class TestMissingnessRegression:
     def test_separation_capped_and_flagged(self):
         x = np.abs(substream(12, 0).standard_normal((8, 6))) + 0.1

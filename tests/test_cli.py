@@ -23,6 +23,16 @@ def write_lines(path, lines):
     return str(path)
 
 
+# files that parse but that the model cannot fit: an AR(1) cluster lacking
+# period 2, an AR(1) cluster of only the t=0 and t=1 rows, and a binary file
+# whose misspelt x1 header leaves it without covariate columns
+AR1_LACKS_A_PERIOD = ["cluster,t,y", "1,0,0.0", "1,1,0.4", "1,2,0.9", "1,3,1.2",
+                      "2,0,0.0", "2,1,0.3", "2,3,0.8"]
+AR1_ONE_PERIOD = ["cluster,t,y", "1,0,0.0", "1,1,0.4", "1,2,0.9",
+                  "2,0,0.0", "2,1,0.3"]
+BINARY_WITHOUT_X1 = ["cluster,t,y,missing,z1", "1,1,1,0,0.1", "1,2,0,0,0.2"]
+
+
 def binary_csv(tmp_path, n=40, t=6, seed=19, mnar=False):
     spec = harness.ExperimentSpec(
         model="binary", n_clusters=n, t_periods=t, n_trials=2,
@@ -204,9 +214,12 @@ class TestFitCommand:
         ("binary", ["cluster,t,y,missing,x1", "1,1,1,0,0.1", "1,2,0,0,inf"], 3),
         ("ar1", ["cluster,t,y", "1,0,0.0", "1,1,inf", "1,2,0.9"], 3),
         ("weibull", ["cluster,t,time,event,x1", "1,1,0.5,1,0.1", "1,2,inf,0,0.2"], 3),
+        ("ar1", AR1_LACKS_A_PERIOD, None),
+        ("ar1", AR1_ONE_PERIOD, None),
     ], ids=["weibull-time", "weibull-event", "binary-y-on-missing",
             "ar1-no-initial-row", "ar1-unequal-length", "t-inf", "t-nan",
-            "x1-inf", "ar1-y-inf", "weibull-time-inf"])
+            "x1-inf", "ar1-y-inf", "weibull-time-inf", "ar1-lacks-a-period",
+            "ar1-one-period"])
     def test_bad_row_exit_one(self, tmp_path, capsys, model, lines, line):
         path = write_lines(tmp_path / "bad.csv", lines)
         out = tmp_path / "o.csv"
@@ -225,9 +238,7 @@ class TestFitCommand:
         assert "missing" in capsys.readouterr().err
 
     def test_binary_without_covariates_exit_one(self, tmp_path, capsys):
-        # a misspelt x1 header leaves the file without covariate columns
-        path = write_lines(tmp_path / "bad.csv",
-                           ["cluster,t,y,missing,z1", "1,1,1,0,0.1", "1,2,0,0,0.2"])
+        path = write_lines(tmp_path / "bad.csv", BINARY_WITHOUT_X1)
         out = tmp_path / "o.csv"
         assert main(["fit", "--model", "binary", "--data", path,
                      "--out", str(out)]) == 1
@@ -579,6 +590,23 @@ class TestTraceCommand:
                      f"--grid={grid}", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: grid '{grid}'") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model,param,lines,reason", [
+        ("ar1", "rho", AR1_LACKS_A_PERIOD, "common length"),
+        ("ar1", "rho", AR1_ONE_PERIOD, "common length"),
+        ("binary", "beta1", BINARY_WITHOUT_X1, "x1"),
+    ], ids=["ar1-lacks-a-period", "ar1-one-period", "binary-without-x1"])
+    def test_unfittable_data_exit_one(self, tmp_path, capsys, model, param, lines,
+                                      reason):
+        # the fit's data gate, not the parameter lookup, reports the file
+        path = write_lines(tmp_path / "bad.csv", lines)
+        out = tmp_path / "t.csv"
+        assert main(["trace", "--model", model, "--data", path, "--param", param,
+                     "--grid", "0.0:0.5:0.25", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert reason in err
         assert not out.exists()
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
